@@ -31,7 +31,6 @@ from .hexa import (
     LinearCell,
     ParamRow,
     SurgerySpec,
-    apply_symmetry,
     instantiate_row,
     orbit,
     parse_cell,

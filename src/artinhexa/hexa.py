@@ -49,9 +49,11 @@ class HexFilling:
         return cls(*values)
 
     def mirror(self) -> "HexFilling":
-        """Candidate mirror image: every integral tangle negated.
-        Experimental; negating every parameter is one candidate reading of
-        the mirror, not a pinned-down convention."""
+        """Mirror image: every integral tangle negated.  This negates the
+        exponent-sum matrix of the presentation, so the divisors agree; a
+        filling and its mirror also agree on the W identity and the braid
+        class, and never get opposite triviality verdicts (pinned by the
+        pipeline tests)."""
         return HexFilling(*(-v for v in self.as_tuple()))
 
     def __str__(self) -> str:
@@ -80,10 +82,6 @@ class HexSymmetry:
 
     def is_identity(self) -> bool:
         return self.sources == SLOTS
-
-
-def apply_symmetry(sym: HexSymmetry, h: HexFilling) -> HexFilling:
-    return sym.apply(h)
 
 
 def orbit(
@@ -342,9 +340,6 @@ class ParamRow:
             if cell.var is not None and cell.var not in seen:
                 seen.append(cell.var)
         return tuple(seen)
-
-    def pm_count(self) -> int:
-        return sum(1 for cell in self.cells if cell.pm)
 
     def printed_cells(self) -> tuple[str, ...]:
         return tuple(serialize_cell(cell) for cell in self.cells)

@@ -1,19 +1,22 @@
 """Batch verification pipeline over the parameter tables.
 
 Every instantiated filling (optionally swept through the 24 symmetries and
-the mirror transform) runs the full chain: presentation generation, both
-Artin identities, abelian invariants, the triviality search, and the
-hyperbolicity classification of the associated surgery braid.  Rows come
-out in a fixed canonical order whatever the worker count, so reports are
-byte-identical across ``jobs`` settings.
+the mirror transform) becomes one report row.  Symmetry images often
+coincide, so the full chain (presentation generation, both Artin
+identities, abelian invariants, the triviality search, and the
+hyperbolicity classification of the associated surgery braid) runs once
+per distinct filling and its cells are shared by every row with that
+filling.  Rows come out in a fixed canonical order whatever the worker
+count, so reports are byte-identical across ``jobs`` settings.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import multiprocessing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .artin import gen_from_hex, verify_artin
@@ -136,39 +139,18 @@ def build_tasks(
     return tasks
 
 
-# worker configuration travels via the initializer so Pool.map stays a plain
-# map over picklable tasks
-_WORKER_CFG = {"budget": DEFAULT_BUDGET, "run_simplify": True}
-
-
-def _init_worker(budget: int, run_simplify: bool) -> None:
-    _WORKER_CFG["budget"] = budget
-    _WORKER_CFG["run_simplify"] = run_simplify
-
-
-def _run_task(task: Task) -> ReportRow:
-    pres = gen_from_hex(task.filling)
+def _run_filling(filling: HexFilling, budget: int, run_simplify: bool) -> dict:
+    """The report cells that depend on the filling alone, as ``ReportRow``
+    keyword arguments."""
+    pres = gen_from_hex(filling)
     check = verify_artin(pres)
-    divisors = abelian_invariants(pres)
-    if _WORKER_CFG["run_simplify"]:
-        verdict = simplify(pres, _WORKER_CFG["budget"]).tag
-    else:
-        verdict = "-"
-    braid = classify(to_surgery(task.filling).braid)
-    return ReportRow(
-        table=task.table,
-        row=task.row,
-        assignment=task.assignment,
-        branch=task.branch,
-        symmetry=task.symmetry,
-        mirrored=task.mirrored,
-        filling=task.filling,
+    return dict(
         relators=pres.serialized_relators(),
         artin_w=check.w,
         artin_f=check.f,
-        divisors=divisors,
-        verdict=verdict,
-        braid_class=str(braid),
+        divisors=abelian_invariants(pres),
+        verdict=simplify(pres, budget).tag if run_simplify else "-",
+        braid_class=str(classify(to_surgery(filling).braid)),
     )
 
 
@@ -180,24 +162,25 @@ def run_tables(
     jobs: int = 1,
     budget: int = DEFAULT_BUDGET,
     run_simplify: bool = True,
-    annotate_examples: bool = True,
 ) -> list[ReportRow]:
     tasks = build_tasks(tables, param_range, symmetries, mirror)
+    fillings = list(dict.fromkeys(task.filling for task in tasks))
+    run = functools.partial(_run_filling, budget=budget, run_simplify=run_simplify)
     if jobs <= 1:
-        _init_worker(budget, run_simplify)
-        rows = [_run_task(t) for t in tasks]
+        results = list(map(run, fillings))
     else:
-        with multiprocessing.Pool(
-            jobs, initializer=_init_worker, initargs=(budget, run_simplify)
-        ) as pool:
-            rows = pool.map(_run_task, tasks, chunksize=64)
-    if annotate_examples:
-        index = example_index(param_range)
-        rows = [
-            replace(row, example_match=index[row.relators]) if row.relators in index else row
-            for row in rows
-        ]
-    return rows
+        with multiprocessing.Pool(jobs) as pool:
+            results = pool.map(run, fillings, chunksize=64)
+    cells = dict(zip(fillings, results))
+    index = example_index(param_range)
+    return [
+        ReportRow(
+            **vars(task),
+            **cells[task.filling],
+            example_match=index.get(cells[task.filling]["relators"], ""),
+        )
+        for task in tasks
+    ]
 
 
 def _example_instances(example: ExampleRow, param_range: tuple[int, int]):

@@ -231,10 +231,7 @@ def _divisors_from_minors(relators):
 def test_criterion_08_batch_triviality():
     param_range = (-5, 5)
     t0 = time.monotonic()
-    rows = run_tables(
-        param_range=param_range, symmetries="all", jobs=1, run_simplify=False,
-        annotate_examples=False,
-    )
+    rows = run_tables(param_range=param_range, symmetries="all", jobs=1, run_simplify=False)
     elapsed = time.monotonic() - t0
 
     # new findings, grouped by table row so the message names every row

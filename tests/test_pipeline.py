@@ -1,6 +1,7 @@
 import pytest
 
 from artinhexa import pipeline
+from artinhexa.artin import gen_from_hex
 from artinhexa.pipeline import (
     assignments_for,
     build_tasks,
@@ -73,9 +74,27 @@ def test_report_serialization_shapes(small_report):
 
 
 def test_jobs_do_not_change_report():
-    a = run_tables(tables=(1,), param_range=(-1, 1), symmetries="all", jobs=1)
-    b = run_tables(tables=(1,), param_range=(-1, 1), symmetries="all", jobs=4)
-    assert report_tsv(a) == report_tsv(b)
+    for mirror in (False, True):
+        config = dict(tables=(1,), param_range=(-1, 1), symmetries="all", mirror=mirror)
+        a = run_tables(**config, jobs=1)
+        b = run_tables(**config, jobs=4)
+        assert report_tsv(a) == report_tsv(b), f"mirror={mirror}"
+
+
+def test_chain_runs_once_per_distinct_filling(monkeypatch):
+    calls = []
+
+    def counting(filling):
+        calls.append(filling)
+        return gen_from_hex(filling)
+
+    monkeypatch.setattr(pipeline, "gen_from_hex", counting)
+    rows = run_tables(
+        tables=(1,), param_range=(-1, 1), symmetries="all", mirror=True,
+        jobs=1, run_simplify=False,
+    )
+    assert len(rows) == 4608
+    assert len(calls) == len(set(calls)) == len({r.filling for r in rows}) == 632
 
 
 def test_mirror_flag_adds_rows():
@@ -83,6 +102,22 @@ def test_mirror_flag_adds_rows():
     mirrored = run_tables(**SMALL, mirror=True, run_simplify=False)
     assert len(mirrored) == 2 * len(plain)
     assert any(r.mirrored for r in mirrored)
+
+
+def test_mirror_rows_agree_with_their_originals():
+    # negating all six parameters negates the exponent-sum matrix, so the
+    # divisors must agree; W, the braid class and the decided verdicts are
+    # the rest of the mirror convention
+    rows = run_tables(tables=(1, 2, 3), param_range=(-1, 1), symmetries="id", mirror=True)
+    by_key = {r.sort_key(): r for r in rows}
+    pairs = [(r, by_key[r.sort_key()[:-1] + (True,)]) for r in rows if not r.mirrored]
+    assert 2 * len(pairs) == len(rows)
+    for plain, mirrored in pairs:
+        assert mirrored.filling == plain.filling.mirror()
+        assert mirrored.divisors == plain.divisors
+        assert mirrored.artin_w == plain.artin_w
+        assert mirrored.braid_class == plain.braid_class
+        assert {plain.verdict, mirrored.verdict} != {"Trivial", "NotTrivial"}
 
 
 def test_example_index_contains_known_triples():
