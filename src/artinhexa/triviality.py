@@ -14,7 +14,18 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .artin import Presentation
-from .words import IDENTITY, Word, abelianize, concat, cyclic_reduce, invert, power
+from .words import (
+    IDENTITY,
+    Word,
+    _join_cancellation,
+    _reduce_syllables,
+    _word,
+    abelianize,
+    concat,
+    cyclic_reduce,
+    invert,
+    power,
+)
 
 DEFAULT_BUDGET = 100_000
 
@@ -132,7 +143,9 @@ def _canonical(relators: Iterable[Word]) -> list[Word]:
 
 
 def _renumber(w: Word, gen: int) -> Word:
-    return Word(tuple((g - 1 if g > gen else g, e) for g, e in w.syllables))
+    # ``gen`` no longer occurs in ``w``, so shifting the higher generators
+    # down keeps adjacent generators distinct
+    return _word(tuple((g - 1 if g > gen else g, e) for g, e in w.syllables))
 
 
 def _replace(w: Word, gen: int, repl: Word) -> Word:
@@ -143,6 +156,8 @@ def _replace(w: Word, gen: int, repl: Word) -> Word:
 
 
 def _eliminate(state: _State, rel_index: int, gen: int, repl: Word) -> None:
+    if not 1 <= gen <= state.rank:
+        raise ValueError(f"generator {gen} out of range 1..{state.rank}")
     new = []
     for k, other in enumerate(state.relators):
         if k == rel_index:
@@ -179,9 +194,9 @@ def apply_move(state: _State, move: Move) -> None:
     elif kind == "mult":
         _, i, j, sign, rot = move
         syls = state.relators[i].syllables
-        rotated = Word(syls[rot:] + syls[:rot])
         other = state.relators[j] if sign == 1 else invert(state.relators[j])
-        state.relators[i] = concat(rotated, other)
+        pairs = syls[rot:] + syls[:rot] + other.syllables
+        state.relators[i] = _word(_reduce_syllables(pairs))
     else:
         raise ValueError(f"unknown move {move!r}")
 
@@ -196,24 +211,42 @@ def replay(pres: Presentation, moves: Iterable[Move]) -> tuple[int, tuple[Word, 
 
 
 def _best_mult(relators: list[Word]) -> Move | None:
-    """Smallest-result-first greedy multiplication move, with a fixed
-    lexicographic tie-break for reproducibility."""
+    """Smallest-result-first greedy multiplication move over canonical
+    (nonempty, cyclically reduced) relators, with a fixed lexicographic
+    tie-break ``(length, syllables, i, j, sign, rot)`` for reproducibility.
+
+    The candidate ``rotation(r_i, rot) * r_j^sign`` has letter length
+    ``len(r_i) + len(r_j)`` less the letters cancelled at its one join, so
+    its syllables are built only when that length can still win.
+    """
+    lengths = [len(r) for r in relators]
+    signed = [((1, r.syllables), (-1, invert(r).syllables)) for r in relators]
     best_key = None
     best_move = None
     for i, ri in enumerate(relators):
-        base_len = len(ri)
         syls = ri.syllables
-        for rot in range(max(len(syls), 1)):
-            rotated = Word(syls[rot:] + syls[:rot])
-            for j, rj in enumerate(relators):
-                if i == j:
-                    continue
-                for sign in (1, -1):
-                    other = rj if sign == 1 else invert(rj)
-                    cand = concat(rotated, other)
-                    if len(cand) >= base_len:
+        n = len(syls)
+        doubled = syls + syls
+        # rotation ``rot`` ends in syllable ``rot - 1``; a join cancels only
+        # against a first syllable of the same generator and opposite sign
+        ends: dict[tuple[int, bool], list[int]] = {}
+        for rot in range(n):
+            gen, exp = syls[rot - 1]
+            ends.setdefault((gen, exp > 0), []).append(rot)
+        for j, pair in enumerate(signed):
+            if j == i:
+                continue
+            for sign, other in pair:
+                gen, exp = other[0]
+                for rot in ends.get((gen, exp < 0), ()):
+                    length = lengths[i] + lengths[j]
+                    length -= _join_cancellation(doubled, rot, rot + n, other)
+                    if length >= lengths[i]:
                         continue
-                    key = (len(cand), cand.syllables, i, j, sign, rot)
+                    if best_key is not None and length > best_key[0]:
+                        continue
+                    cand = _reduce_syllables(doubled[rot : rot + n] + other)
+                    key = (length, cand, i, j, sign, rot)
                     if best_key is None or key < best_key:
                         best_key = key
                         best_move = ("mult", i, j, sign, rot)
@@ -236,26 +269,22 @@ def simplify(pres: Presentation, budget: int = DEFAULT_BUDGET) -> TrivialityVerd
         return TrivialityVerdict("NotTrivial", divisors, (), 0)
     state = _State(pres.rank, list(pres.relators))
     moves: list[Move] = []
-    spent = 0
-
-    def apply(move: Move) -> None:
-        nonlocal spent
-        apply_move(state, move)
-        moves.append(move)
-        spent += 1
-
     while True:
         if state.rank == 0:
-            return TrivialityVerdict("Trivial", divisors, tuple(moves), spent)
-        if spent >= budget:
-            return TrivialityVerdict("Unknown", divisors, tuple(moves), spent)
-        if _canonical(state.relators) != state.relators:
-            apply(("reduce",))
-            continue
-        move = _pick_structural(state) or _best_mult(state.relators)
-        if move is None:
-            return TrivialityVerdict("Unknown", divisors, tuple(moves), spent)
-        apply(move)
+            return TrivialityVerdict("Trivial", divisors, tuple(moves), len(moves))
+        if len(moves) >= budget:
+            return TrivialityVerdict("Unknown", divisors, tuple(moves), len(moves))
+        canonical = _canonical(state.relators)
+        if canonical != state.relators:
+            # the ("reduce",) move, applied from the pass just computed
+            move = ("reduce",)
+            state.relators = canonical
+        else:
+            move = _pick_structural(state) or _best_mult(state.relators)
+            if move is None:
+                return TrivialityVerdict("Unknown", divisors, tuple(moves), len(moves))
+            apply_move(state, move)
+        moves.append(move)
 
 
 def _pick_structural(state: _State) -> Move | None:

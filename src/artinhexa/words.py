@@ -93,6 +93,18 @@ class Word:
 
 IDENTITY = Word()
 
+_new = object.__new__
+_set_syllables = Word.syllables.__set__
+
+
+def _word(syllables: tuple[Syllable, ...]) -> Word:
+    """Wrap syllables already known to be freely reduced (results of
+    :func:`_reduce_syllables`, inverses, rotations of cyclically reduced
+    words), skipping the validation the public constructor runs."""
+    w = _new(Word)
+    _set_syllables(w, syllables)
+    return w
+
 
 def generator(index: int, exp: int = 1) -> Word:
     if exp == 0:
@@ -119,17 +131,42 @@ def concat(*words: Word) -> Word:
     pairs: list[Syllable] = []
     for w in words:
         pairs.extend(w.syllables)
-    return Word(_reduce_syllables(pairs))
+    return _word(_reduce_syllables(pairs))
 
 
 def invert(w: Word) -> Word:
-    return Word(tuple((gen, -exp) for gen, exp in reversed(w.syllables)))
+    return _word(tuple((gen, -exp) for gen, exp in reversed(w.syllables)))
 
 
 def power(w: Word, k: int) -> Word:
+    """``w`` multiplied by itself ``k`` times (``invert(w)`` for ``k < 0``),
+    in one reduction pass over the repeated syllables."""
+    if len(w.syllables) == 1:
+        gen, exp = w.syllables[0]
+        return _word(((gen, exp * k),)) if k else IDENTITY
     if k < 0:
         w, k = invert(w), -k
-    return concat(*([w] * k)) if k else IDENTITY
+    return _word(_reduce_syllables(w.syllables * k))
+
+
+def _join_cancellation(
+    left: tuple[Syllable, ...], start: int, stop: int, right: tuple[Syllable, ...]
+) -> int:
+    """Letters cancelled when the reduced words ``left[start:stop]`` and
+    ``right`` are multiplied: free reduction acts only at the join, so
+    ``len(concat(a, b)) == len(a) + len(b) - _join_cancellation(a.syllables,
+    0, len(a.syllables), b.syllables)``."""
+    cancelled = 0
+    i = stop - 1
+    for gen, exp in right:
+        if i < start or left[i][0] != gen:
+            break
+        merged = left[i][1] + exp
+        if merged:
+            return cancelled + abs(left[i][1]) + abs(exp) - abs(merged)
+        cancelled += 2 * abs(exp)
+        i -= 1
+    return cancelled
 
 
 def conjugate(w: Word, g: Word) -> Word:
@@ -163,7 +200,7 @@ class CyclicWord:
             raise WordError("cyclic word is not in canonical rotation")
 
     def to_word(self) -> Word:
-        return Word(self.syllables)
+        return _word(self.syllables)
 
     def __str__(self) -> str:
         return serialize_word(self.to_word())
@@ -193,15 +230,14 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
             syls.pop(0)
         conj.insert(0, (gen, last_exp))
     core = tuple(syls)
-    rotation = _least_rotation(core)
-    # fold the rotation offset into the conjugator so the exact identity
-    # w == conjugate(canonical, t) survives canonicalization
-    if rotation != core:
-        for i in range(len(core)):
-            if core[i:] + core[:i] == rotation:
-                conj = list(core[i:]) + conj
-                break
-    return CyclicWord(rotation), reduce_word(conj)
+    # the first least rotation; its offset is folded into the conjugator so
+    # the exact identity w == conjugate(canonical, t) survives
+    # canonicalization.  The core is cyclically reduced and the conjugator is
+    # a rotation tail of it followed by a suffix of w, so both are reduced.
+    offset = min(range(len(core)), key=lambda i: core[i:] + core[:i], default=0)
+    cyclic = _new(CyclicWord)
+    object.__setattr__(cyclic, "syllables", core[offset:] + core[:offset])
+    return cyclic, _word((core[offset:] if offset else ()) + tuple(conj))
 
 
 def is_conjugate(a: Word, b: Word) -> bool:

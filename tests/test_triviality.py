@@ -2,15 +2,17 @@ import random
 
 import pytest
 
+from artinhexa import triviality
 from artinhexa.artin import Presentation, gen_from_hex
 from artinhexa.hexa import HexFilling
+from artinhexa.pipeline import build_tasks
 from artinhexa.triviality import (
     abelian_invariants,
     replay,
     simplify,
     smith_invariants,
 )
-from artinhexa.words import concat, conjugate, invert, parse_word, reduce_word
+from artinhexa.words import Word, concat, conjugate, invert, parse_word, reduce_word
 
 
 def pres(*texts, rank=3):
@@ -189,3 +191,52 @@ def test_verdict_json_shape():
     assert set(payload) == {"tag", "divisors", "moves", "budget_spent"}
     assert payload["tag"] == "Trivial"
     assert all(isinstance(m, list) for m in payload["moves"])
+
+
+def test_replay_rejects_out_of_range_generator():
+    with pytest.raises(ValueError):
+        replay(pres("x1", "x2", "x3"), [("kill", 0, 0)])
+
+
+def reference_best_mult(relators):
+    """``_best_mult`` as it was first written: build every candidate word and
+    read its length.  The oracle for the tie-break, and so for move logs."""
+    best_key = None
+    best_move = None
+    for i, ri in enumerate(relators):
+        base_len = len(ri)
+        syls = ri.syllables
+        for rot in range(max(len(syls), 1)):
+            rotated = Word(syls[rot:] + syls[:rot])
+            for j, rj in enumerate(relators):
+                if i == j:
+                    continue
+                for sign in (1, -1):
+                    other = rj if sign == 1 else invert(rj)
+                    cand = concat(rotated, other)
+                    if len(cand) >= base_len:
+                        continue
+                    key = (len(cand), cand.syllables, i, j, sign, rot)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best_move = ("mult", i, j, sign, rot)
+    return best_move
+
+
+@pytest.mark.parametrize(
+    "tables, param_range, symmetries, distinct",
+    [((1, 3), (0, 0), "all", 992), ((2, 3), (-8, 2), "id", 527)],
+    ids=["sweep", "long-words"],
+)
+def test_best_mult_matches_candidate_word_reference(
+    monkeypatch, tables, param_range, symmetries, distinct
+):
+    tasks = build_tasks(tables, param_range, symmetries, False)
+    fillings = list(dict.fromkeys(task.filling for task in tasks))
+    assert len(fillings) == distinct
+    presentations = [gen_from_hex(f) for f in fillings]
+    fast = [simplify(p).as_json_dict() for p in presentations]
+    assert any(m[0] == "mult" for v in fast for m in v["moves"])
+    monkeypatch.setattr(triviality, "_best_mult", reference_best_mult)
+    for filling, p, verdict in zip(fillings, presentations, fast):
+        assert simplify(p).as_json_dict() == verdict, filling

@@ -1,0 +1,63 @@
+"""Hypothesis properties of the word layer's fast paths: join-cancellation
+lengths, ``power`` on syllable exponents, and results built without the
+public constructor's validation."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from artinhexa.words import (
+    CyclicWord,
+    Word,
+    _join_cancellation,
+    concat,
+    conjugate,
+    cyclic_reduce,
+    invert,
+    power,
+    reduce_word,
+)
+
+words = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=12
+).map(reduce_word)
+
+
+def assert_valid(w: Word) -> None:
+    assert Word(w.syllables) == w
+
+
+@given(words, words)
+def test_join_cancellation_gives_product_length(a, b):
+    cancelled = _join_cancellation(a.syllables, 0, len(a.syllables), b.syllables)
+    assert len(a) + len(b) - cancelled == len(concat(a, b))
+
+
+@given(words, words, st.integers(0, 30))
+def test_join_cancellation_on_rotations(a, b, rot):
+    core = cyclic_reduce(a)[0].syllables
+    n = len(core)
+    rot %= max(n, 1)
+    rotated = Word(core[rot:] + core[:rot])
+    cancelled = _join_cancellation(core + core, rot, rot + n, b.syllables)
+    assert len(rotated) + len(b) - cancelled == len(concat(rotated, b))
+
+
+@given(words, st.integers(-9, 9))
+def test_power_is_repeated_concat(w, k):
+    base = w if k >= 0 else invert(w)
+    assert power(w, k) == concat(*[base] * abs(k))
+
+
+@given(words, words, st.integers(-9, 9))
+def test_unvalidated_results_pass_public_validation(a, b, k):
+    for w in (concat(a, b), invert(a), power(a, k)):
+        assert_valid(w)
+    cyc, t = cyclic_reduce(concat(a, b))
+    assert CyclicWord(cyc.syllables) == cyc
+    assert_valid(cyc.to_word())
+    assert_valid(t)
+    assert conjugate(cyc.to_word(), t) == concat(a, b)
