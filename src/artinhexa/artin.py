@@ -31,9 +31,10 @@ class RatGroupWarning(UserWarning):
 class Presentation:
     rank: int
     relators: tuple[Word, ...]
-    provenance: str = ""
 
     def __post_init__(self):
+        if self.rank < 0:
+            raise PresentationError(f"rank {self.rank} is negative")
         for r in self.relators:
             if r.max_generator() > self.rank:
                 raise PresentationError(
@@ -89,31 +90,7 @@ def gen_from_params(s: SurgeryParams) -> Presentation:
     r1 = concat(power(_X1, s.m - s.e - s.e1), block_e1, tail)
     r2 = concat(power(_X2, s.n - s.e - s.e1 - s.f1), x23_f1, block_e1, tail)
     r3 = concat(power(_X3, s.p - s.e - s.f1), x23_f1, tail)
-    prov = f"params {s.m},{s.n},{s.p},{s.e},{s.e1},{s.f1}"
-    return Presentation(3, (r1, r2, r3), prov)
-
-
-def gen_from_hex(h: HexFilling) -> Presentation:
-    """Presentation of the double branched cover of the filled hexatangle.
-
-    This is gen_from_params composed with the surgery correspondence; the
-    exponents collapse to
-
-        r1 = x1^-alpha                 K^-delta (x1 x2 x3)^-eta
-        r2 = x2^-beta  (x2 x3)^-gamma  K^-delta (x1 x2 x3)^-eta
-        r3 = x3^-epsilon (x2 x3)^-gamma          (x1 x2 x3)^-eta
-
-    with ``K = x1 (x2 x3)^gamma x2 (x2 x3)^-gamma``.
-    """
-    x23_g = power(_X23, h.gamma)
-    block = concat(_X1, x23_g, _X2, invert(x23_g))
-    block_d = power(block, -h.delta)
-    tail = power(_X123, -h.eta)
-    x23_ng = invert(x23_g)
-    r1 = concat(power(_X1, -h.alpha), block_d, tail)
-    r2 = concat(power(_X2, -h.beta), x23_ng, block_d, tail)
-    r3 = concat(power(_X3, -h.epsilon), x23_ng, tail)
-    return Presentation(3, (r1, r2, r3), f"hex {h}")
+    return Presentation(3, (r1, r2, r3))
 
 
 def surgery_presentation(spec: SurgerySpec) -> Presentation:
@@ -125,10 +102,18 @@ def surgery_presentation(spec: SurgerySpec) -> Presentation:
     return gen_from_params(SurgeryParams(m, n, p, spec.braid.twist, e1, f1))
 
 
-def hex_consistency(h: HexFilling) -> bool:
-    """Cross-route check: the surgery substitution reproduces the direct
-    hexatangle relators word for word."""
-    return gen_from_hex(h).relators == surgery_presentation(to_surgery(h)).relators
+def gen_from_hex(h: HexFilling) -> Presentation:
+    """Presentation of the double branched cover of the filled hexatangle:
+    gen_from_params composed with the surgery correspondence.  The
+    exponents collapse to
+
+        r1 = x1^-alpha                 K^-delta (x1 x2 x3)^-eta
+        r2 = x2^-beta  (x2 x3)^-gamma  K^-delta (x1 x2 x3)^-eta
+        r3 = x3^-epsilon (x2 x3)^-gamma          (x1 x2 x3)^-eta
+
+    with ``K = x1 (x2 x3)^gamma x2 (x2 x3)^-gamma``.
+    """
+    return surgery_presentation(to_surgery(h))
 
 
 def verify_artin(pres: Presentation) -> ArtinCheck:
@@ -171,8 +156,4 @@ def rat_group(pres: Presentation, certified: bool = False) -> Presentation:
                 RatGroupWarning,
                 stacklevel=2,
             )
-    return Presentation(
-        pres.rank,
-        pres.relators[:-1],
-        f"rat-group of [{pres.provenance}]" if pres.provenance else "rat-group",
-    )
+    return Presentation(pres.rank, pres.relators[:-1])

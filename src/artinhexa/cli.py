@@ -268,16 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             return args.func(args)
-    except (
-        DomainError,
-        artin.PresentationError,
-        braids.BraidError,
-        freeprod.FPWordError,
-        hexa.HexError,
-        tables.TableError,
-        words.WordError,
-        ValueError,
-    ) as exc:
+    except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -48,14 +48,7 @@ class Task:
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    table: int
-    row: int
-    assignment: Assignment
-    branch: str
-    symmetry: int
-    mirrored: bool
-    filling: HexFilling
+class ReportRow(Task):
     relators: tuple[str, str, str]
     artin_w: bool
     artin_f: bool

@@ -116,7 +116,10 @@ class TrivialityVerdict:
     tag: str  # "Trivial" | "NotTrivial" | "Unknown"
     divisors: tuple[int, ...]
     moves: tuple[Move, ...]
-    budget_spent: int
+
+    @property
+    def budget_spent(self) -> int:
+        return len(self.moves)
 
     def as_json_dict(self) -> dict:
         return {
@@ -156,8 +159,8 @@ def _replace(w: Word, gen: int, repl: Word) -> Word:
 
 
 def _eliminate(state: _State, rel_index: int, gen: int, repl: Word) -> None:
-    if not 1 <= gen <= state.rank:
-        raise ValueError(f"generator {gen} out of range 1..{state.rank}")
+    # ``gen`` occurs in relator ``rel_index`` (checked by the caller), so it
+    # lies in 1..rank
     new = []
     for k, other in enumerate(state.relators):
         if k == rel_index:
@@ -180,21 +183,39 @@ def _solve(relator: Word, gen: int) -> Word:
     return power(concat(invert(u), invert(v)), s)
 
 
+def _relator_index(state: _State, k: int) -> int:
+    if not 0 <= k < len(state.relators):
+        raise ValueError(f"relator index {k} out of range 0..{len(state.relators) - 1}")
+    return k
+
+
 def apply_move(state: _State, move: Move) -> None:
+    """Apply one Tietze move, refusing with ``ValueError`` any move that is
+    not legal on ``state``: a relator index out of range, a ``kill`` of a
+    relator other than the bare ``x_gen^+-1``, a ``subst`` of a generator
+    that is not solvable, or a ``mult`` of a relator by itself, with a sign
+    other than +-1 or a rotation outside its syllables."""
     kind = move[0]
     if kind == "reduce":
         state.relators = _canonical(state.relators)
     elif kind == "kill":
         _, rel_index, gen = move
+        syls = state.relators[_relator_index(state, rel_index)].syllables
+        if syls not in (((gen, 1),), ((gen, -1),)):
+            raise ValueError(f"relator {rel_index} is not x{gen}^+-1")
         _eliminate(state, rel_index, gen, IDENTITY)
     elif kind == "subst":
         _, rel_index, gen = move
-        repl = _solve(state.relators[rel_index], gen)
+        repl = _solve(state.relators[_relator_index(state, rel_index)], gen)
         _eliminate(state, rel_index, gen, repl)
     elif kind == "mult":
         _, i, j, sign, rot = move
-        syls = state.relators[i].syllables
-        other = state.relators[j] if sign == 1 else invert(state.relators[j])
+        syls = state.relators[_relator_index(state, i)].syllables
+        other = state.relators[_relator_index(state, j)]
+        if i == j or sign not in (1, -1) or not 0 <= rot < len(syls):
+            raise ValueError(f"illegal multiplication move {move!r}")
+        if sign == -1:
+            other = invert(other)
         pairs = syls[rot:] + syls[:rot] + other.syllables
         state.relators[i] = _word(_reduce_syllables(pairs))
     else:
@@ -266,14 +287,14 @@ def simplify(pres: Presentation, budget: int = DEFAULT_BUDGET) -> TrivialityVerd
     """
     divisors = abelian_invariants(pres)
     if any(d != 1 for d in divisors):
-        return TrivialityVerdict("NotTrivial", divisors, (), 0)
+        return TrivialityVerdict("NotTrivial", divisors, ())
     state = _State(pres.rank, list(pres.relators))
     moves: list[Move] = []
     while True:
         if state.rank == 0:
-            return TrivialityVerdict("Trivial", divisors, tuple(moves), len(moves))
+            return TrivialityVerdict("Trivial", divisors, tuple(moves))
         if len(moves) >= budget:
-            return TrivialityVerdict("Unknown", divisors, tuple(moves), len(moves))
+            return TrivialityVerdict("Unknown", divisors, tuple(moves))
         canonical = _canonical(state.relators)
         if canonical != state.relators:
             # the ("reduce",) move, applied from the pass just computed
@@ -282,7 +303,7 @@ def simplify(pres: Presentation, budget: int = DEFAULT_BUDGET) -> TrivialityVerd
         else:
             move = _pick_structural(state) or _best_mult(state.relators)
             if move is None:
-                return TrivialityVerdict("Unknown", divisors, tuple(moves), len(moves))
+                return TrivialityVerdict("Unknown", divisors, tuple(moves))
             apply_move(state, move)
         moves.append(move)
 

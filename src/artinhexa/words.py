@@ -196,7 +196,7 @@ class CyclicWord:
         syls = self.syllables
         if len(syls) > 1 and syls[0][0] == syls[-1][0]:
             raise WordError("cyclic word is not cyclically reduced")
-        if syls != _least_rotation(syls):
+        if _least_offset(syls):  # 0 exactly when syls is its least rotation
             raise WordError("cyclic word is not in canonical rotation")
 
     def to_word(self) -> Word:
@@ -206,10 +206,9 @@ class CyclicWord:
         return serialize_word(self.to_word())
 
 
-def _least_rotation(syls: tuple[Syllable, ...]) -> tuple[Syllable, ...]:
-    if len(syls) <= 1:
-        return syls
-    return min(syls[i:] + syls[:i] for i in range(len(syls)))
+def _least_offset(syls: tuple[Syllable, ...]) -> int:
+    """Offset of the first lexicographically least rotation of ``syls``."""
+    return min(range(len(syls)), key=lambda i: syls[i:] + syls[:i], default=0)
 
 
 def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
@@ -234,7 +233,7 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     # the exact identity w == conjugate(canonical, t) survives
     # canonicalization.  The core is cyclically reduced and the conjugator is
     # a rotation tail of it followed by a suffix of w, so both are reduced.
-    offset = min(range(len(core)), key=lambda i: core[i:] + core[:i], default=0)
+    offset = _least_offset(core)
     cyclic = _new(CyclicWord)
     object.__setattr__(cyclic, "syllables", core[offset:] + core[:offset])
     return cyclic, _word((core[offset:] if offset else ()) + tuple(conj))

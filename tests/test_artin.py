@@ -11,13 +11,13 @@ from artinhexa.artin import (
     SurgeryParams,
     gen_from_hex,
     gen_from_params,
-    hex_consistency,
     rat_group,
     surgery_presentation,
     verify_artin,
 )
 from artinhexa.hexa import HexFilling, to_surgery
 from artinhexa.words import IDENTITY, abelianize, parse_word, reduce_word
+from hex_oracle import closed_form_relators
 
 
 def params(m, n, p, e, e1, f1):
@@ -60,6 +60,8 @@ def test_gen_from_hex_table5_row14_shape():
 def test_presentation_rank_check():
     with pytest.raises(PresentationError):
         Presentation(2, (parse_word("x3"),))
+    with pytest.raises(PresentationError):
+        Presentation(-1, ())
 
 
 def test_verify_artin_powers():
@@ -129,12 +131,12 @@ def test_hex_params_consistency_sampled():
     rng = random.Random(97)
     for _ in range(400):
         h = HexFilling(*(rng.randint(-3, 3) for _ in range(6)))
-        assert hex_consistency(h)
+        assert gen_from_hex(h).relators == closed_form_relators(h)
 
 
 def test_surgery_presentation_matches_hex_route():
     h = HexFilling(2, -1, 3, -2, 0, 1)
-    assert surgery_presentation(to_surgery(h)).relators == gen_from_hex(h).relators
+    assert surgery_presentation(to_surgery(h)).relators == closed_form_relators(h)
 
 
 def test_rat_group_drops_last_relator():

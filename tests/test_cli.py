@@ -62,6 +62,14 @@ def test_verify_artin_bad_file(tmp_path, capsys):
     assert code == 1 and "rank" in err
 
 
+def test_simplify_negative_rank_file(tmp_path, capsys):
+    path = tmp_path / "negative.txt"
+    path.write_text("rank -1\n")
+    code, out, err = run(capsys, "simplify", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "rank -1" in err
+
+
 def test_classify_braid(capsys):
     code, out, _ = run(capsys, "classify-braid", "--blocks", "1,1", "--twist", "3")
     assert code == 0

@@ -198,6 +198,47 @@ def test_replay_rejects_out_of_range_generator():
         replay(pres("x1", "x2", "x3"), [("kill", 0, 0)])
 
 
+@pytest.mark.parametrize(
+    "relators, moves",
+    [
+        # divisors 1,1,2: killing x1 by its square must not replay to (0, ())
+        (("x1^2", "x2", "x3"), [("kill", 0, 1)] * 3),
+        (("x1", "x2", "x3"), [("kill", 5, 1)]),
+        (("x1", "x2", "x3"), [("kill", -1, 2)]),
+        (("x1", "x2", "x3"), [("kill", -1, 3)]),
+        (("x1", "x2", "x3"), [("kill", 0, 2)]),
+        (("x1*x2", "x2", "x3"), [("kill", 0, 1)]),
+        (("x1*x2", "x2", "x3"), [("subst", 3, 1)]),
+        (("x1*x2", "x2", "x3"), [("subst", -1, 3)]),
+        # mult of a relator by itself replaces x1^2 by the identity
+        (("x1^2", "x2", "x3"), [("mult", 0, 0, -1, 0)]),
+        (("x1*x2", "x2", "x3"), [("mult", 0, 3, 1, 0)]),
+        (("x1*x2", "x2", "x3"), [("mult", -1, 0, 1, 0)]),
+        (("x1*x2", "x2", "x3"), [("mult", 0, 1, 2, 0)]),
+        (("x1*x2", "x2", "x3"), [("mult", 0, 1, 0, 0)]),
+        (("x1*x2", "x2", "x3"), [("mult", 0, 1, 1, 2)]),
+        (("x1*x2", "x2", "x3"), [("mult", 0, 1, 1, -1)]),
+    ],
+)
+def test_replay_rejects_illegal_moves(relators, moves):
+    with pytest.raises(ValueError):
+        replay(pres(*relators), moves)
+
+
+def test_every_emitted_log_replays():
+    # logs of every verdict, not only Trivial ones, consist of legal moves
+    fillings = dict.fromkeys(t.filling for t in build_tasks((1, 2, 3), (-1, 1), "id"))
+    tags = set()
+    for h in fillings:
+        p = gen_from_hex(h)
+        verdict = simplify(p)
+        rank, relators = replay(p, verdict.moves)
+        tags.add(verdict.tag)
+        if verdict.tag == "Trivial":
+            assert (rank, relators) == (0, ())
+    assert {"Trivial", "Unknown"} <= tags
+
+
 def reference_best_mult(relators):
     """``_best_mult`` as it was first written: build every candidate word and
     read its length.  The oracle for the tie-break, and so for move logs."""
