@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 from . import artin, braids, freeprod, hexa, pipeline, tables, triviality, words
 
@@ -166,13 +165,11 @@ def _report_args(args) -> dict:
         param_range=_parse_range(args.param_range),
         symmetries=args.symmetries,
         mirror=_parse_onoff(args.mirror, "--mirror"),
-        jobs=args.jobs,
-        budget=args.budget,
     )
 
 
 def _cmd_run_tables(args) -> int:
-    rows = pipeline.run_tables(**_report_args(args))
+    rows = pipeline.run_tables(**_report_args(args), jobs=args.jobs, budget=args.budget)
     text = pipeline.report_json(rows) if args.json else pipeline.report_tsv(rows)
     _emit(text, args.out)
     return 0
@@ -180,8 +177,7 @@ def _cmd_run_tables(args) -> int:
 
 def _cmd_match_examples(args) -> int:
     cfg = _report_args(args)
-    rows = pipeline.run_tables(**cfg, run_simplify=False)
-    matches = pipeline.match_examples(rows, cfg["param_range"])
+    matches = pipeline.match_examples(pipeline.build_tasks(**cfg), cfg["param_range"])
     text = pipeline.matches_json(matches) if args.json else pipeline.matches_tsv(matches)
     _emit(text, args.out)
     return 0
@@ -192,8 +188,7 @@ def _add_report_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--param-range", default="-5..5", help="free-variable range LO..HI")
     sub.add_argument("--symmetries", choices=("all", "id"), default="all")
     sub.add_argument("--mirror", default="off", help="also sweep mirror images: on|off")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
-    sub.add_argument("--budget", type=int, default=triviality.DEFAULT_BUDGET)
+    sub.add_argument("--jobs", type=int, default=1, help="worker processes (run-tables only)")
     sub.add_argument("--out", help="write output to a file instead of stdout")
     sub.add_argument("--json", action="store_true", help="JSON instead of TSV")
 
@@ -252,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-tables", help="batch-verify the parameter tables")
     _add_report_flags(p)
+    p.add_argument("--budget", type=int, default=triviality.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_run_tables)
 
     p = sub.add_parser("match-examples", help="match generated presentations against the example tables")
@@ -265,9 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            return args.func(args)
+        return args.func(args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -91,10 +91,10 @@ def orbit(
 ) -> tuple[HexFilling, ...]:
     """All images of ``h`` under the symmetries (and their mirrors when
     requested), deduplicated and sorted for a deterministic order."""
-    images = {sym.apply(h).as_tuple() for sym in symmetries}
+    images = {sym.apply(h) for sym in symmetries}
     if include_mirror:
-        images |= {tuple(-v for v in img) for img in set(images)}
-    return tuple(HexFilling(*img) for img in sorted(images))
+        images |= {img.mirror() for img in images}
+    return tuple(sorted(images, key=HexFilling.as_tuple))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Batch verification pipeline over the parameter tables.
 
 Every instantiated filling (optionally swept through the 24 symmetries and
-the mirror transform) becomes one report row.  Symmetry images often
-coincide, so the full chain (presentation generation, both Artin
-identities, abelian invariants, the triviality search, and the
+the mirror transform) becomes one task and one report row.  Symmetry images
+often coincide, so the full chain (presentation generation, both Artin
+identities, the triviality search with its abelian invariants, and the
 hyperbolicity classification of the associated surgery braid) runs once
 per distinct filling and its cells are shared by every row with that
 filling.  Rows come out in a fixed canonical order whatever the worker
 count, so reports are byte-identical across ``jobs`` settings.
+``match_examples`` compares tasks with the example tables by relators only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .tables import (
     load_symmetries,
     load_table,
 )
-from .triviality import DEFAULT_BUDGET, abelian_invariants, simplify
+from .triviality import DEFAULT_BUDGET, simplify
 from .words import serialize_word
 
 Assignment = tuple[tuple[str, int], ...]
@@ -132,17 +133,18 @@ def build_tasks(
     return tasks
 
 
-def _run_filling(filling: HexFilling, budget: int, run_simplify: bool) -> dict:
+def _run_filling(filling: HexFilling, budget: int) -> dict:
     """The report cells that depend on the filling alone, as ``ReportRow``
     keyword arguments."""
     pres = gen_from_hex(filling)
     check = verify_artin(pres)
+    verdict = simplify(pres, budget)
     return dict(
         relators=pres.serialized_relators(),
         artin_w=check.w,
         artin_f=check.f,
-        divisors=abelian_invariants(pres),
-        verdict=simplify(pres, budget).tag if run_simplify else "-",
+        divisors=verdict.divisors,
+        verdict=verdict.tag,
         braid_class=str(classify(to_surgery(filling).braid)),
     )
 
@@ -154,11 +156,10 @@ def run_tables(
     mirror: bool = False,
     jobs: int = 1,
     budget: int = DEFAULT_BUDGET,
-    run_simplify: bool = True,
 ) -> list[ReportRow]:
     tasks = build_tasks(tables, param_range, symmetries, mirror)
     fillings = list(dict.fromkeys(task.filling for task in tasks))
-    run = functools.partial(_run_filling, budget=budget, run_simplify=run_simplify)
+    run = functools.partial(_run_filling, budget=budget)
     if jobs <= 1:
         results = list(map(run, fillings))
     else:
@@ -211,19 +212,22 @@ class ExampleMatch:
 
 
 def match_examples(
-    rows: Sequence[ReportRow],
+    tasks: Sequence[Task],
     param_range: tuple[int, int] = (-5, 5),
     tables: Iterable[int] = EXAMPLE_TABLES,
 ) -> list[ExampleMatch]:
-    """Compare every example-table row against the generated report.
-
-    Concrete rows are matched as printed; parametric rows are matched
-    instance by instance on the shared grid.  Unmatched rows are findings
-    to report, not failures.
+    """Compare every example-table row against the tasks' relator triples,
+    generated once per distinct filling; the first task with a triple is
+    the one reported.  Concrete rows are matched as printed; parametric
+    rows instance by instance on the shared grid.  Unmatched rows are
+    findings to report, not failures.
     """
-    by_triple: dict[tuple[str, str, str], ReportRow] = {}
-    for row in rows:
-        by_triple.setdefault(row.relators, row)
+    first_task: dict[HexFilling, Task] = {}
+    for task in tasks:
+        first_task.setdefault(task.filling, task)
+    by_triple: dict[tuple[str, str, str], Task] = {}
+    for filling, task in first_task.items():
+        by_triple.setdefault(gen_from_hex(filling).serialized_relators(), task)
     out = []
     for table in tables:
         for example in load_examples(table):

@@ -15,6 +15,8 @@ import random
 import time
 from collections import defaultdict
 
+import pytest
+
 from artinhexa.artin import (
     ArtinCheck,
     Presentation,
@@ -229,11 +231,21 @@ def _divisors_from_minors(relators):
     return (g1, g2 // g1, det // g2)
 
 
-def test_criterion_08_batch_triviality():
-    param_range = (-5, 5)
+FULL_SWEEP = dict(param_range=(-5, 5), symmetries="all")
+
+
+@pytest.fixture(scope="module")
+def full_sweep():
+    """The full sweep at ``jobs=1`` and its wall time; criterion 8 checks
+    its rows and criterion 11 compares its report against ``jobs=8``."""
     t0 = time.monotonic()
-    rows = run_tables(param_range=param_range, symmetries="all", jobs=1, run_simplify=False)
-    elapsed = time.monotonic() - t0
+    rows = run_tables(**FULL_SWEEP, jobs=1)
+    return rows, time.monotonic() - t0
+
+
+def test_criterion_08_batch_triviality(full_sweep):
+    param_range = FULL_SWEEP["param_range"]
+    rows, elapsed = full_sweep
 
     # new findings, grouped by table row so the message names every row
     failures = defaultdict(list)
@@ -373,10 +385,9 @@ def test_criterion_10_open_book_example_satisfies_f():
     assert check.f
 
 
-def test_criterion_11_report_determinism_across_jobs():
-    config = dict(param_range=(-5, 5), symmetries="all")
-    a = report_tsv(run_tables(**config, jobs=1))
-    b = report_tsv(run_tables(**config, jobs=8))
+def test_criterion_11_report_determinism_across_jobs(full_sweep):
+    a = report_tsv(full_sweep[0])
+    b = report_tsv(run_tables(**FULL_SWEEP, jobs=8))
     ok = a == b
     announce(11, ok, f"{a.count(chr(10)) - 1} rows, byte-identical={ok}")
     assert ok

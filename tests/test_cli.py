@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from artinhexa import pipeline, triviality
 from artinhexa.cli import main
 
 
@@ -156,10 +157,31 @@ def test_match_examples_small(capsys):
     assert "table1 row 1" in t5r1
 
 
+def test_match_examples_compares_relators_only(monkeypatch, capsys):
+    argv = ("match-examples", "--tables", "1,2,3", "--param-range=-1..1", "--jobs", "2")
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("match-examples ran a report-only computation")
+
+    for module, name in (
+        (pipeline, "verify_artin"),
+        (pipeline, "simplify"),
+        (pipeline, "classify"),
+        (triviality, "smith_invariants"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    assert run(capsys, *argv) == (0, expected, "")
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["verify-artin"])  # missing required --file
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["match-examples", "--budget", "5"])  # the budget is run-tables only
     assert err.value.code == 2

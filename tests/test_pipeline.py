@@ -1,6 +1,6 @@
 import pytest
 
-from artinhexa import pipeline
+from artinhexa import pipeline, triviality
 from artinhexa.artin import gen_from_hex
 from artinhexa.pipeline import (
     assignments_for,
@@ -83,23 +83,31 @@ def test_jobs_do_not_change_report():
 
 def test_chain_runs_once_per_distinct_filling(monkeypatch):
     calls = []
+    smith_calls = []
+    smith_invariants = triviality.smith_invariants
 
     def counting(filling):
         calls.append(filling)
         return gen_from_hex(filling)
 
+    def counting_smith(rows, width):
+        smith_calls.append(rows)
+        return smith_invariants(rows, width)
+
     monkeypatch.setattr(pipeline, "gen_from_hex", counting)
+    monkeypatch.setattr(triviality, "smith_invariants", counting_smith)
     rows = run_tables(
-        tables=(1,), param_range=(-1, 1), symmetries="all", mirror=True,
-        jobs=1, run_simplify=False,
+        tables=(1,), param_range=(-1, 1), symmetries="all", mirror=True, jobs=1,
     )
     assert len(rows) == 4608
     assert len(calls) == len(set(calls)) == len({r.filling for r in rows}) == 632
+    # the divisors come from the search's own Smith form
+    assert len(smith_calls) == 632
 
 
 def test_mirror_flag_adds_rows():
-    plain = run_tables(**SMALL, mirror=False, run_simplify=False)
-    mirrored = run_tables(**SMALL, mirror=True, run_simplify=False)
+    plain = run_tables(**SMALL, mirror=False)
+    mirrored = run_tables(**SMALL, mirror=True)
     assert len(mirrored) == 2 * len(plain)
     assert any(r.mirrored for r in mirrored)
 
@@ -136,6 +144,8 @@ def test_match_examples_finds_table5_and_flags_corruption(small_report):
     assert corrupted not in {r.relators for r in small_report}
     text = matches_tsv(matches)
     assert text.startswith("example_table\trow")
+    # tasks carry no report cells; their relators give the same matches
+    assert match_examples(build_tasks(**SMALL), (-1, 1), tables=(5,)) == matches
 
 
 def test_unknown_symmetry_mode_rejected():
