@@ -41,7 +41,6 @@ from .hexa import (
 )
 from .triviality import TrivialityVerdict, abelian_invariants, replay, simplify
 from .words import (
-    CyclicWord,
     Word,
     abelianize,
     concat,

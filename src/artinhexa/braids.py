@@ -22,6 +22,7 @@ from .freeprod import (
     fp_is_even_power_form,
     rho,
 )
+from .words import cyclic_reduce, reduce_word
 
 HYPERBOLIC = "Hyperbolic"
 ESSENTIAL_TORUS = "EssentialTorus"
@@ -75,35 +76,17 @@ def normalize(b: PureBraid) -> PureBraid:
 
 
 def _cyclic_blocks(blocks: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Canonical block list of the *closure*: zero runs are also merged
-    across the wrap-around, which is a conjugation of the braid."""
-    runs: list[tuple[int, int]] = []  # (generator 1|2, exponent)
-    for e, f in blocks:
-        for gen, exp in ((1, e), (2, f)):
-            if exp == 0:
-                continue
-            if runs and runs[-1][0] == gen:
-                merged = runs[-1][1] + exp
-                runs.pop()
-                if merged:
-                    runs.append((gen, merged))
-            else:
-                runs.append((gen, exp))
-    while len(runs) >= 2 and runs[0][0] == runs[-1][0]:
-        gen, exp = runs.pop()
-        merged = runs[0][1] + exp
-        runs.pop(0)
-        if merged:
-            runs.insert(0, (gen, merged))
-    if not runs:
-        return ()
-    if len(runs) == 1:
-        gen, exp = runs[0]
+    """Canonical block list of the *closure*: the cyclic canonical form of
+    the block word in sigma1^2 (generator 1) and sigma2^2 (generator 2), so
+    zero runs are also merged across the wrap-around, which is a conjugation
+    of the braid."""
+    word = reduce_word((gen, exp) for e, f in blocks for gen, exp in ((1, e), (2, f)))
+    syls = cyclic_reduce(word)[0].syllables
+    if len(syls) == 1:
+        gen, exp = syls[0]
         return ((exp, 0),) if gen == 1 else ((0, exp),)
-    starts = [i for i, (gen, _) in enumerate(runs) if gen == 1]
-    rotations = [tuple(runs[i:] + runs[:i]) for i in starts]
-    best = min(rotations)
-    return tuple((best[i][1], best[i + 1][1]) for i in range(0, len(best), 2))
+    # generator 1 sorts first, so the least rotation starts at a sigma1 run
+    return tuple((syls[i][1], syls[i + 1][1]) for i in range(0, len(syls), 2))
 
 
 def to_braid_word(b: PureBraid) -> tuple[int, ...]:
@@ -128,7 +111,7 @@ def classify(b: PureBraid) -> BraidClass:
     splittable, then essential torus, then connected sum; every matching
     clause is recorded, tag-deciding clause first.
     """
-    blocks = _cyclic_blocks(normalize(b).blocks)
+    blocks = _cyclic_blocks(b.blocks)
     e = b.twist
     n = len(blocks)
     if n == 0:
@@ -201,7 +184,7 @@ def format_blocks(blocks: Iterable[tuple[int, int]]) -> str:
     return ";".join(f"{e},{f}" for e, f in blocks)
 
 
-_BRAID_SYL_RE = re.compile(r"s([12])(?:\^(-?\d+))?\Z")
+_BRAID_SYL_RE = re.compile(r"s([12])(?:\^(-?\d+))?\Z", re.ASCII)
 
 
 def parse_braid_word(text: str) -> tuple[int, ...]:

@@ -35,12 +35,6 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise DomainError(f"bad range {text!r}; expected LO..HI")
 
 
-def _parse_onoff(text: str, what: str) -> bool:
-    if text not in ("on", "off"):
-        raise DomainError(f"{what}: expected on|off, got {text!r}")
-    return text == "on"
-
-
 def _load_presentation(path: str) -> artin.Presentation:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -122,8 +116,7 @@ def _cmd_symmetry(args) -> int:
 
 def _cmd_orbit(args) -> int:
     filling = hexa.HexFilling.from_tuple(_parse_ints(args.hex, 6, "--hex"))
-    include_mirror = _parse_onoff(args.mirror, "--mirror")
-    for image in hexa.orbit(filling, tables.load_symmetries(), include_mirror):
+    for image in hexa.orbit(filling, tables.load_symmetries(), args.mirror == "on"):
         print(image)
     return 0
 
@@ -164,7 +157,7 @@ def _report_args(args) -> dict:
         tables=tuple(int(t) for t in args.tables.split(",")),
         param_range=_parse_range(args.param_range),
         symmetries=args.symmetries,
-        mirror=_parse_onoff(args.mirror, "--mirror"),
+        mirror=args.mirror == "on",
     )
 
 
@@ -187,7 +180,7 @@ def _add_report_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tables", default="1,2,3", help="parameter tables to run (default 1,2,3)")
     sub.add_argument("--param-range", default="-5..5", help="free-variable range LO..HI")
     sub.add_argument("--symmetries", choices=("all", "id"), default="all")
-    sub.add_argument("--mirror", default="off", help="also sweep mirror images: on|off")
+    sub.add_argument("--mirror", choices=("on", "off"), default="off", help="also sweep mirror images")
     sub.add_argument("--jobs", type=int, default=1, help="worker processes (run-tables only)")
     sub.add_argument("--out", help="write output to a file instead of stdout")
     sub.add_argument("--json", action="store_true", help="JSON instead of TSV")
@@ -234,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="orbit of a filling under all symmetries")
     p.add_argument("--hex", required=True)
-    p.add_argument("--mirror", default="off")
+    p.add_argument("--mirror", choices=("on", "off"), default="off")
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("validate-symmetries", help="validate the bundled symmetry table against the control")

@@ -255,8 +255,7 @@ class LinearCell:
         return self.var is None and not self.pm
 
 
-_INT_RE = re.compile(r"-?\d+\Z")
-_TERM_RE = re.compile(r"([+-])?\s*(\d+|[a-z]+)")
+_TERM_RE = re.compile(r"([+-])?\s*(\d+|[a-z]+)", re.ASCII)
 
 
 def parse_cell(text: str) -> LinearCell:
@@ -302,6 +301,8 @@ def parse_cell(text: str) -> LinearCell:
             pos += 1
     if first:
         raise CellSyntaxError(f"empty cell {original!r}")
+    if pm and c0 <= 0:
+        raise CellSyntaxError(f"± needs a positive constant part in {original!r}")
     return LinearCell(pm=pm, c0=c0, c1=c1, var=var)
 
 

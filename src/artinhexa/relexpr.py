@@ -75,8 +75,8 @@ class RelatorExpr:
         return self.text
 
 
-_GEN_RE = re.compile(r"x(\d+)")
-_INT_RE = re.compile(r"-?\d+")
+_GEN_RE = re.compile(r"x(\d+)", re.ASCII)
+_INT_RE = re.compile(r"-?\d+", re.ASCII)
 _VAR_RE = re.compile(r"-?[a-z]+")
 
 

@@ -42,7 +42,7 @@ def read_data_text(name: str) -> str:
 
 def _rows(text: str, name: str) -> list[list[str]]:
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for line in text.splitlines():
         if not line.strip():
             continue
         out.append([cell.strip() for cell in line.split("\t")])

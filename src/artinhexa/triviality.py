@@ -139,7 +139,7 @@ class _State:
 def _canonical(relators: Iterable[Word]) -> list[Word]:
     out = []
     for r in relators:
-        core = cyclic_reduce(r)[0].to_word()
+        core = cyclic_reduce(r)[0]
         if core:
             out.append(core)
     return out

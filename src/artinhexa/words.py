@@ -184,38 +184,19 @@ def abelianize(w: Word, rank: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicWord:
-    """Canonical form of a conjugacy class: the lexicographically least
-    rotation (ordering syllables by generator, then exponent) of a
-    cyclically reduced word."""
-
-    syllables: tuple[Syllable, ...] = ()
-
-    def __post_init__(self):
-        syls = self.syllables
-        if len(syls) > 1 and syls[0][0] == syls[-1][0]:
-            raise WordError("cyclic word is not cyclically reduced")
-        if _least_offset(syls):  # 0 exactly when syls is its least rotation
-            raise WordError("cyclic word is not in canonical rotation")
-
-    def to_word(self) -> Word:
-        return _word(self.syllables)
-
-    def __str__(self) -> str:
-        return serialize_word(self.to_word())
-
-
 def _least_offset(syls: tuple[Syllable, ...]) -> int:
     """Offset of the first lexicographically least rotation of ``syls``."""
     return min(range(len(syls)), key=lambda i: syls[i:] + syls[:i], default=0)
 
 
-def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
+def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split ``w`` into its cyclic canonical form and a conjugator.
 
-    Returns ``(c, t)`` with ``w == conjugate(c.to_word(), t)`` exactly: the
-    rotation offset of the canonicalization is folded into ``t``.
+    The canonical form of a conjugacy class is the lexicographically least
+    rotation (ordering syllables by generator, then exponent) of a
+    cyclically reduced word.  Returns ``(c, t)`` with ``w == conjugate(c,
+    t)`` exactly: the rotation offset of the canonicalization is folded
+    into ``t``.
     """
     syls = list(w.syllables)
     conj: list[Syllable] = []
@@ -234,9 +215,8 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     # canonicalization.  The core is cyclically reduced and the conjugator is
     # a rotation tail of it followed by a suffix of w, so both are reduced.
     offset = _least_offset(core)
-    cyclic = _new(CyclicWord)
-    object.__setattr__(cyclic, "syllables", core[offset:] + core[:offset])
-    return cyclic, _word((core[offset:] if offset else ()) + tuple(conj))
+    canonical = _word(core[offset:] + core[:offset])
+    return canonical, _word((core[offset:] if offset else ()) + tuple(conj))
 
 
 def is_conjugate(a: Word, b: Word) -> bool:
@@ -244,7 +224,7 @@ def is_conjugate(a: Word, b: Word) -> bool:
     return cyclic_reduce(a)[0] == cyclic_reduce(b)[0]
 
 
-_SYLLABLE_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
+_SYLLABLE_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z", re.ASCII)
 
 
 def parse_word(text: str) -> Word:
@@ -274,7 +254,7 @@ def parse_word(text: str) -> Word:
     return Word(_reduce_syllables(pairs))
 
 
-def serialize_word(w: Word | CyclicWord) -> str:
+def serialize_word(w: Word) -> str:
     """Canonical text form; always reduced, ``^1`` omitted, ``1`` for the
     identity."""
     if not w.syllables:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from artinhexa import braids
 from artinhexa.braids import (
     CONNECTED_SUM,
     ESSENTIAL_TORUS,
@@ -123,6 +124,62 @@ def test_classify_invariant_under_normalize():
         assert classify(b) == classify(normalize(b))
 
 
+def reference_cyclic_blocks(blocks):
+    """The closure's block list as first written: its own run merging,
+    wrap-around merging and least rotation among those starting at a sigma1
+    run, applied after ``normalize``.  The oracle for ``_cyclic_blocks``."""
+    runs = []  # (generator 1|2, exponent)
+    for e, f in normalize(PureBraid(tuple(blocks))).blocks:
+        for gen, exp in ((1, e), (2, f)):
+            if exp == 0:
+                continue
+            if runs and runs[-1][0] == gen:
+                merged = runs[-1][1] + exp
+                runs.pop()
+                if merged:
+                    runs.append((gen, merged))
+            else:
+                runs.append((gen, exp))
+    while len(runs) >= 2 and runs[0][0] == runs[-1][0]:
+        gen, exp = runs.pop()
+        merged = runs[0][1] + exp
+        runs.pop(0)
+        if merged:
+            runs.insert(0, (gen, merged))
+    if not runs:
+        return ()
+    if len(runs) == 1:
+        gen, exp = runs[0]
+        return ((exp, 0),) if gen == 1 else ((0, exp),)
+    starts = [i for i, (gen, _) in enumerate(runs) if gen == 1]
+    best = min(tuple(runs[i:] + runs[:i]) for i in starts)
+    return tuple((best[i][1], best[i + 1][1]) for i in range(0, len(best), 2))
+
+
+def test_cyclic_blocks_match_reference(monkeypatch):
+    rng = random.Random(59)
+    cases = [
+        (),
+        ((0, 0), (0, 0)),
+        ((1, 2), (0, -2), (-1, 0)),  # cancels to nothing
+        ((2, 1), (0, -1), (-2, 3)),  # a cancelling run in the middle
+        ((1, 2), (-1, 0)),  # runs cancel around the closure
+        ((0, 1), (2, 3), (1, -1)),  # cancel, then merge, around the closure
+        ((0, 1), (2, 3), (1, 0)),
+    ] + [
+        tuple((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(2, 6)))
+        for _ in range(3000)
+    ]
+    twists = [rng.randint(-1, 1) for _ in cases]
+    new = [(braids._cyclic_blocks(blocks), classify(PureBraid(blocks, e)))
+           for blocks, e in zip(cases, twists)]
+    assert sum(len(b) >= 2 for b, _ in new) > 1000  # multi-block canonical forms
+    monkeypatch.setattr(braids, "_cyclic_blocks", reference_cyclic_blocks)
+    for blocks, e, (canonical, tag) in zip(cases, twists, new):
+        assert canonical == reference_cyclic_blocks(blocks), blocks
+        assert tag == classify(PureBraid(blocks, e)), blocks
+
+
 def test_rho_torus_witness_examples():
     for e in (-2, 0, 3):
         hit = rho_torus_witness(PureBraid(((1, 1),), e))
@@ -184,5 +241,7 @@ def test_parse_braid_word():
     assert parse_braid_word("s1*s2^-1*s1") == (1, -2, 1)
     assert parse_braid_word("s2^3") == (2, 2, 2)
     assert parse_braid_word("1") == ()
-    with pytest.raises(BraidError):
-        parse_braid_word("s3")
+    # \u0661 and \u0662 are Arabic-Indic one and two: digits are ASCII only
+    for bad in ("s3", "s1^\u0661", "s2^-\u0662"):
+        with pytest.raises(BraidError):
+            parse_braid_word(bad)

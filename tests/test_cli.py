@@ -185,3 +185,8 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["match-examples", "--budget", "5"])  # the budget is run-tables only
     assert err.value.code == 2
+    for argv in (["orbit", "--hex", "1,0,0,0,0,0", "--mirror", "maybe"],
+                 ["run-tables", "--mirror", "maybe"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2

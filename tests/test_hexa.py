@@ -168,7 +168,10 @@ def test_parse_cell_examples():
 
 
 def test_parse_cell_errors():
-    for bad in ("", "2gamma", "gamma+delta", "±gamma", "foo", "1 2"):
+    # ± needs a positive constant; digits are ASCII only (\u0661 and \u0663
+    # are Arabic-Indic one and three)
+    for bad in ("", "2gamma", "gamma+delta", "±gamma", "foo", "1 2", "±0", "±0+gamma",
+                "±1-3", "\u0661", "1+\u0661", "±\u0663"):
         with pytest.raises(CellSyntaxError):
             parse_cell(bad)
     with pytest.raises(HexError):

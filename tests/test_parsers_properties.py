@@ -1,0 +1,74 @@
+"""Hypothesis properties of the text parsers: on any text each one returns a
+value or raises its module's documented error, and accepted input
+round-trips through the matching serializer."""
+
+import re
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from artinhexa.braids import BraidError, format_blocks, parse_blocks, parse_braid_word
+from artinhexa.hexa import CellSyntaxError, parse_cell, serialize_cell
+from artinhexa.relexpr import RelatorExprError, parse_relator_expr
+from artinhexa.words import WordSyntaxError, parse_word, serialize_word
+
+# Fragments of the grammars, so that accepted input is common, mixed with
+# near misses: non-ASCII digits and spaces, unknown names, stray signs.
+FRAGMENTS = (
+    "x", "x1", "x2", "x3", "s1", "s2", "s3", "0", "1", "2", "3", "-", "+", "±",
+    "^", "*", "(", ")", ",", ";", " ", "\t", "\u00a0", "\u0661", "gamma", "alpha",
+    "foo", "1,1", "-1,2;",
+)
+texts = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join),
+)
+
+
+@given(texts)
+def test_parse_word_accepts_or_raises_syntax_error(text):
+    try:
+        w = parse_word(text)
+    except WordSyntaxError:
+        return
+    assert parse_word(serialize_word(w)) == w
+
+
+@given(texts)
+def test_parse_cell_accepts_or_raises_syntax_error(text):
+    try:
+        cell = parse_cell(text)
+    except CellSyntaxError:
+        return
+    assert parse_cell(serialize_cell(cell)) == cell
+
+
+@given(texts)
+def test_parse_relator_expr_accepts_or_raises_its_error(text):
+    try:
+        parse_relator_expr(text)
+    except RelatorExprError:
+        pass
+
+
+@given(texts)
+def test_parse_blocks_accepts_or_raises_braid_error(text):
+    try:
+        blocks = parse_blocks(text)
+    except BraidError:
+        return
+    assert parse_blocks(format_blocks(blocks)) == blocks
+
+
+@given(texts)
+def test_parse_braid_word_accepts_or_raises_braid_error(text):
+    # the result has one letter per unit of exponent, so keep exponents small
+    assume(not re.search(r"\d{5}", text, re.ASCII))
+    try:
+        parse_braid_word(text)
+    except BraidError:
+        pass

@@ -58,7 +58,9 @@ def test_unbound_variable_rejected():
 
 
 def test_parse_errors():
-    for bad in ("x0", "(x1", "x1^", "x1^(2", "x1&", "x1^(±1)", "x1^foo", "x1 x2"):
+    # \u0661 is an Arabic-Indic one: digits are ASCII only
+    for bad in ("x0", "(x1", "x1^", "x1^(2", "x1&", "x1^(±1)", "x1^(±0)", "x1^foo", "x1 x2",
+                "x\u0661", "x1^\u0661", "x1^-\u0661", "x1^(\u0661)"):
         with pytest.raises(RelatorExprError):
             parse_relator_expr(bad)
 
