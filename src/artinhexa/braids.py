@@ -22,7 +22,7 @@ from .freeprod import (
     fp_is_even_power_form,
     rho,
 )
-from .words import cyclic_reduce, reduce_word
+from .words import cyclic_reduce, parse_int, reduce_word
 
 HYPERBOLIC = "Hyperbolic"
 ESSENTIAL_TORUS = "EssentialTorus"
@@ -174,7 +174,7 @@ def parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
         if len(pieces) != 2:
             raise BraidError(f"bad block {part!r}; expected e,f")
         try:
-            blocks.append((int(pieces[0]), int(pieces[1])))
+            blocks.append((parse_int(pieces[0]), parse_int(pieces[1])))
         except ValueError:
             raise BraidError(f"bad block {part!r}; expected integers") from None
     return tuple(blocks)

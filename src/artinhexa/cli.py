@@ -19,7 +19,7 @@ class DomainError(Exception):
 
 def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(v) for v in text.split(","))
+        values = tuple(words.parse_int(v) for v in text.split(","))
     except ValueError:
         raise DomainError(f"{what}: expected comma-separated integers, got {text!r}")
     if len(values) != count:
@@ -30,7 +30,7 @@ def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
-        return int(lo), int(hi)
+        return words.parse_int(lo), words.parse_int(hi)
     except ValueError:
         raise DomainError(f"bad range {text!r}; expected LO..HI")
 
@@ -41,9 +41,10 @@ def _load_presentation(path: str) -> artin.Presentation:
             lines = [line.strip() for line in fh if line.strip()]
     except OSError as exc:
         raise DomainError(str(exc))
-    if not lines or not lines[0].startswith("rank "):
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "rank":
         raise DomainError(f"{path}: first line must be 'rank N'")
-    rank = int(lines[0].split()[1])
+    rank = words.parse_int(head[1])
     relators = tuple(words.parse_word(line) for line in lines[1:])
     return artin.Presentation(rank, relators)
 
@@ -143,7 +144,7 @@ def _cmd_parse_cell(args) -> int:
     if args.assign:
         name, _, raw = args.assign.partition("=")
         try:
-            assignment = {name.strip(): int(raw)}
+            assignment = {name.strip(): words.parse_int(raw)}
         except ValueError:
             raise DomainError(f"bad --assign {args.assign!r}; expected var=int")
         print("values " + ",".join(str(v) for v in cell.values(assignment)))
@@ -154,7 +155,7 @@ def _cmd_parse_cell(args) -> int:
 
 def _report_args(args) -> dict:
     return dict(
-        tables=tuple(int(t) for t in args.tables.split(",")),
+        tables=tuple(words.parse_int(t) for t in args.tables.split(",")),
         param_range=_parse_range(args.param_range),
         symmetries=args.symmetries,
         mirror=args.mirror == "on",
@@ -181,7 +182,7 @@ def _add_report_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--param-range", default="-5..5", help="free-variable range LO..HI")
     sub.add_argument("--symmetries", choices=("all", "id"), default="all")
     sub.add_argument("--mirror", choices=("on", "off"), default="off", help="also sweep mirror images")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes (run-tables only)")
+    sub.add_argument("--jobs", type=words.parse_int, default=1, help="worker processes (run-tables only)")
     sub.add_argument("--out", help="write output to a file instead of stdout")
     sub.add_argument("--json", action="store_true", help="JSON instead of TSV")
 
@@ -207,13 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplify", help="run the triviality search on a presentation file")
     p.add_argument("--file", required=True)
-    p.add_argument("--budget", type=int, default=triviality.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=words.parse_int, default=triviality.DEFAULT_BUDGET)
     p.add_argument("--emit-log", action="store_true", help="include the move log")
     p.set_defaults(func=_cmd_simplify)
 
     p = sub.add_parser("classify-braid", help="hyperbolicity of a closed pure 3-braid")
     p.add_argument("--blocks", required=True, help='block exponents "e1,f1;e2,f2;..."')
-    p.add_argument("--twist", type=int, default=0, help="full-twist exponent e")
+    p.add_argument("--twist", type=words.parse_int, default=0, help="full-twist exponent e")
     p.set_defaults(func=_cmd_classify_braid)
 
     p = sub.add_parser("rho", help="image of a braid word in Z2 * Z3")
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rho)
 
     p = sub.add_parser("symmetry", help="apply one symmetry row to a filling")
-    p.add_argument("--index", type=int, required=True, help="symmetry number 1..24")
+    p.add_argument("--index", type=words.parse_int, required=True, help="symmetry number 1..24")
     p.add_argument("--hex", required=True)
     p.set_defaults(func=_cmd_symmetry)
 
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-tables", help="batch-verify the parameter tables")
     _add_report_flags(p)
-    p.add_argument("--budget", type=int, default=triviality.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=words.parse_int, default=triviality.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_run_tables)
 
     p = sub.add_parser("match-examples", help="match generated presentations against the example tables")

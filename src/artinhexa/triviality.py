@@ -145,27 +145,22 @@ def _canonical(relators: Iterable[Word]) -> list[Word]:
     return out
 
 
-def _renumber(w: Word, gen: int) -> Word:
-    # ``gen`` no longer occurs in ``w``, so shifting the higher generators
-    # down keeps adjacent generators distinct
-    return _word(tuple((g - 1 if g > gen else g, e) for g, e in w.syllables))
-
-
-def _replace(w: Word, gen: int, repl: Word) -> Word:
-    parts = []
-    for g, e in w.syllables:
-        parts.append(power(repl, e) if g == gen else Word(((g, e),)))
-    return concat(*parts)
-
-
 def _eliminate(state: _State, rel_index: int, gen: int, repl: Word) -> None:
     # ``gen`` occurs in relator ``rel_index`` (checked by the caller), so it
-    # lies in 1..rank
+    # lies in 1..rank; ``repl`` lacks it, so shifting the higher generators
+    # down one keeps adjacent generators distinct
+    repl = _word(tuple((g - 1 if g > gen else g, e) for g, e in repl.syllables))
     new = []
     for k, other in enumerate(state.relators):
         if k == rel_index:
             continue
-        new.append(_renumber(_replace(other, gen, repl), gen))
+        pairs: list[tuple[int, int]] = []
+        for g, e in other.syllables:
+            if g == gen:
+                pairs.extend(power(repl, e).syllables)
+            else:
+                pairs.append((g - 1 if g > gen else g, e))
+        new.append(_word(_reduce_syllables(pairs)))
     state.relators = new
     state.rank -= 1
 
@@ -295,7 +290,8 @@ def simplify(pres: Presentation, budget: int = DEFAULT_BUDGET) -> TrivialityVerd
             return TrivialityVerdict("Trivial", divisors, tuple(moves))
         if len(moves) >= budget:
             return TrivialityVerdict("Unknown", divisors, tuple(moves))
-        canonical = _canonical(state.relators)
+        # right after a ("reduce",) move the relators are canonical already
+        canonical = state.relators if moves[-1:] == [("reduce",)] else _canonical(state.relators)
         if canonical != state.relators:
             # the ("reduce",) move, applied from the pass just computed
             move = ("reduce",)

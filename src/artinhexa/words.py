@@ -185,8 +185,14 @@ def abelianize(w: Word, rank: int) -> tuple[int, ...]:
 
 
 def _least_offset(syls: tuple[Syllable, ...]) -> int:
-    """Offset of the first lexicographically least rotation of ``syls``."""
-    return min(range(len(syls)), key=lambda i: syls[i:] + syls[:i], default=0)
+    """Offset of the first lexicographically least rotation of ``syls``.
+    Only an offset holding a least syllable can start it, so rotations are
+    compared only when that syllable occurs more than once."""
+    least = min(syls, default=None)
+    if syls.count(least) == 1:
+        return syls.index(least)
+    starts = [i for i, s in enumerate(syls) if s == least]
+    return min(starts, key=lambda i: syls[i:] + syls[:i], default=0)
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -196,32 +202,38 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     rotation (ordering syllables by generator, then exponent) of a
     cyclically reduced word.  Returns ``(c, t)`` with ``w == conjugate(c,
     t)`` exactly: the rotation offset of the canonicalization is folded
-    into ``t``.
+    into ``t``.  A word that is already canonical comes back as ``(w,
+    IDENTITY)``, the same object ``w``, and nothing is copied.
     """
-    syls = list(w.syllables)
+    syls = w.syllables
     conj: list[Syllable] = []
     while len(syls) >= 2 and syls[0][0] == syls[-1][0]:
-        gen, last_exp = syls.pop()
-        first_exp = syls[0][1]
-        merged = first_exp + last_exp
-        if merged:
-            syls[0] = (gen, merged)
-        else:
-            syls.pop(0)
+        gen, last_exp = syls[-1]
+        merged = syls[0][1] + last_exp
+        syls = ((gen, merged),) + syls[1:-1] if merged else syls[1:-1]
         conj.insert(0, (gen, last_exp))
-    core = tuple(syls)
     # the first least rotation; its offset is folded into the conjugator so
     # the exact identity w == conjugate(canonical, t) survives
     # canonicalization.  The core is cyclically reduced and the conjugator is
     # a rotation tail of it followed by a suffix of w, so both are reduced.
-    offset = _least_offset(core)
-    canonical = _word(core[offset:] + core[:offset])
-    return canonical, _word((core[offset:] if offset else ()) + tuple(conj))
+    offset = _least_offset(syls)
+    if not (offset or conj):
+        return w, IDENTITY
+    canonical = _word(syls[offset:] + syls[:offset])
+    return canonical, _word((syls[offset:] if offset else ()) + tuple(conj))
 
 
 def is_conjugate(a: Word, b: Word) -> bool:
     """Conjugacy test: equality of cyclic canonical forms."""
     return cyclic_reduce(a)[0] == cyclic_reduce(b)[0]
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` without its non-ASCII digits and ``_`` separators;
+    anything but a sign, ASCII digits and spaces raises ``ValueError``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 _SYLLABLE_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z", re.ASCII)

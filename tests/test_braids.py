@@ -235,6 +235,8 @@ def test_block_text_round_trip():
         parse_blocks("1")
     with pytest.raises(BraidError):
         parse_blocks("a,b")
+    with pytest.raises(BraidError):
+        parse_blocks("\u0661,1_0")  # int() reads this as ((1, 10),)
 
 
 def test_parse_braid_word():

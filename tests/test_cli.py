@@ -71,6 +71,42 @@ def test_simplify_negative_rank_file(tmp_path, capsys):
     assert err.startswith("error:") and "rank -1" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # \u0661 is Arabic-Indic one, which int() reads as 1
+        ("rank \u0661\n", "invalid integer"),
+        ("rank 1_0\n", "invalid integer"),
+        ("rank 3 junk\nx1\nx2\nx3\n", "first line must be 'rank N'"),
+        ("rank\nx1\n", "first line must be 'rank N'"),
+        ("rank3\n", "first line must be 'rank N'"),
+    ],
+)
+def test_simplify_rejects_bad_rank_line(tmp_path, capsys, text, message):
+    path = tmp_path / "pres.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "simplify", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("symmetry", "--index", "1", "--hex=\u0661,0,0,0,0,1_0"),
+        ("gen-presentation", "--params", "1,1,0,0,0,\u0661"),
+        ("run-tables", "--param-range=0..0_0"),
+        ("run-tables", "--tables", "\u0661"),
+        ("match-examples", "--param-range=\u0661..1"),
+        ("parse-cell", "gamma", "--assign", "gamma=1_0"),
+        ("classify-braid", "--blocks", "\u0661,1_0"),
+    ],
+)
+def test_integer_fields_take_ascii_digits_only(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error:")
+
+
 def test_classify_braid(capsys):
     code, out, _ = run(capsys, "classify-braid", "--blocks", "1,1", "--twist", "3")
     assert code == 0
@@ -186,7 +222,9 @@ def test_usage_errors_exit_2(capsys):
         main(["match-examples", "--budget", "5"])  # the budget is run-tables only
     assert err.value.code == 2
     for argv in (["orbit", "--hex", "1,0,0,0,0,0", "--mirror", "maybe"],
-                 ["run-tables", "--mirror", "maybe"]):
+                 ["run-tables", "--mirror", "maybe"],
+                 ["run-tables", "--jobs", "\u0661"],
+                 ["classify-braid", "--blocks", "1,1", "--twist", "1_0"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -7,12 +8,13 @@ from artinhexa.artin import Presentation, gen_from_hex
 from artinhexa.hexa import HexFilling
 from artinhexa.pipeline import build_tasks
 from artinhexa.triviality import (
+    TrivialityVerdict,
     abelian_invariants,
     replay,
     simplify,
     smith_invariants,
 )
-from artinhexa.words import Word, concat, conjugate, invert, parse_word, reduce_word
+from artinhexa.words import Word, concat, conjugate, invert, parse_word, power, reduce_word
 
 
 def pres(*texts, rank=3):
@@ -264,20 +266,105 @@ def reference_best_mult(relators):
     return best_move
 
 
-@pytest.mark.parametrize(
+@functools.lru_cache(maxsize=None)
+def distinct_verdicts(tables, param_range, symmetries):
+    """Distinct fillings of a benchmark workload, their presentations and
+    the ``simplify`` JSON of each."""
+    tasks = build_tasks(tables, param_range, symmetries, False)
+    fillings = list(dict.fromkeys(task.filling for task in tasks))
+    presentations = [gen_from_hex(f) for f in fillings]
+    return fillings, presentations, [simplify(p).as_json_dict() for p in presentations]
+
+
+WORKLOADS = pytest.mark.parametrize(
     "tables, param_range, symmetries, distinct",
     [((1, 3), (0, 0), "all", 992), ((2, 3), (-8, 2), "id", 527)],
     ids=["sweep", "long-words"],
 )
+
+
+@WORKLOADS
 def test_best_mult_matches_candidate_word_reference(
     monkeypatch, tables, param_range, symmetries, distinct
 ):
-    tasks = build_tasks(tables, param_range, symmetries, False)
-    fillings = list(dict.fromkeys(task.filling for task in tasks))
+    fillings, presentations, fast = distinct_verdicts(tables, param_range, symmetries)
     assert len(fillings) == distinct
-    presentations = [gen_from_hex(f) for f in fillings]
-    fast = [simplify(p).as_json_dict() for p in presentations]
     assert any(m[0] == "mult" for v in fast for m in v["moves"])
     monkeypatch.setattr(triviality, "_best_mult", reference_best_mult)
     for filling, p, verdict in zip(fillings, presentations, fast):
         assert simplify(p).as_json_dict() == verdict, filling
+
+
+def reference_cyclic_reduce(w):
+    """``cyclic_reduce`` without its fast paths: peel the ends on a list copy
+    and compare every rotation."""
+    syls = list(w.syllables)
+    conj = []
+    while len(syls) >= 2 and syls[0][0] == syls[-1][0]:
+        gen, last_exp = syls.pop()
+        merged = syls[0][1] + last_exp
+        if merged:
+            syls[0] = (gen, merged)
+        else:
+            syls.pop(0)
+        conj.insert(0, (gen, last_exp))
+    core = tuple(syls)
+    offset = min(range(len(core)), key=lambda i: core[i:] + core[:i], default=0)
+    canonical = Word(core[offset:] + core[:offset])
+    return canonical, Word((core[offset:] if offset else ()) + tuple(conj))
+
+
+def reference_canonical(relators):
+    return [c for c in (reference_cyclic_reduce(r)[0] for r in relators) if c]
+
+
+def reference_eliminate(state, rel_index, gen, repl):
+    """Elimination in two passes per relator: substitute with ``power`` and
+    ``concat``, then renumber the generators above ``gen``."""
+
+    def replace(w):
+        return concat(*(power(repl, e) if g == gen else Word(((g, e),)) for g, e in w.syllables))
+
+    def renumber(w):
+        return Word(tuple((g - 1 if g > gen else g, e) for g, e in w.syllables))
+
+    state.relators = [
+        renumber(replace(r)) for k, r in enumerate(state.relators) if k != rel_index
+    ]
+    state.rank -= 1
+
+
+def reference_simplify(pres):
+    """The search loop with a canonical pass in every round, also the one
+    right after a ``("reduce",)`` move."""
+    divisors = abelian_invariants(pres)
+    if any(d != 1 for d in divisors):
+        return TrivialityVerdict("NotTrivial", divisors, ())
+    state = triviality._State(pres.rank, list(pres.relators))
+    moves = []
+    while state.rank and len(moves) < triviality.DEFAULT_BUDGET:
+        canonical = triviality._canonical(state.relators)
+        if canonical != state.relators:
+            move = ("reduce",)
+            state.relators = canonical
+        else:
+            move = triviality._pick_structural(state) or triviality._best_mult(state.relators)
+            if move is None:
+                break
+            triviality.apply_move(state, move)
+        moves.append(move)
+    return TrivialityVerdict("Unknown" if state.rank else "Trivial", divisors, tuple(moves))
+
+
+@WORKLOADS
+def test_search_matches_reference_canonical_and_elimination(
+    monkeypatch, tables, param_range, symmetries, distinct
+):
+    fillings, presentations, fast = distinct_verdicts(tables, param_range, symmetries)
+    assert len(fillings) == distinct
+    kinds = {m[0] for v in fast for m in v["moves"]}
+    assert {"reduce", "kill", "subst"} <= kinds
+    monkeypatch.setattr(triviality, "_canonical", reference_canonical)
+    monkeypatch.setattr(triviality, "_eliminate", reference_eliminate)
+    for filling, p, verdict in zip(fillings, presentations, fast):
+        assert reference_simplify(p).as_json_dict() == verdict, filling

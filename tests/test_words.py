@@ -14,6 +14,7 @@ from artinhexa.words import (
     generator,
     invert,
     is_conjugate,
+    parse_int,
     parse_word,
     power,
     reduce_word,
@@ -281,3 +282,13 @@ def test_parse_errors_carry_position():
     for bad in ("x1^0", "", "x\u0661", "x1^\u0662", "x\u0661^2"):
         with pytest.raises(WordSyntaxError):
             parse_word(bad)
+
+
+def test_parse_int_takes_ascii_digits_only():
+    assert parse_int("12") == 12
+    assert parse_int(" -3 ") == -3
+    assert parse_int("+0") == 0
+    # \u0661 is Arabic-Indic one; int() takes it and "1_0", this reader does not
+    for bad in ("\u0661", "1_0", "", "-", "1.0", "0x1", "1,0"):
+        with pytest.raises(ValueError):
+            parse_int(bad)

@@ -1,18 +1,20 @@
 """Hypothesis properties of the word layer's fast paths: join-cancellation
-lengths, ``power`` on syllable exponents, and results built without the
-public constructor's validation."""
+lengths, ``power`` on syllable exponents, the least rotation and the cyclic
+canonical form, and results built without the public constructor's
+validation."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from artinhexa.words import (
     IDENTITY,
     Word,
     _join_cancellation,
+    _least_offset,
     concat,
     conjugate,
     cyclic_reduce,
@@ -24,6 +26,17 @@ from artinhexa.words import (
 words = st.lists(
     st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=12
 ).map(reduce_word)
+
+# powers of short words: their rotations tie, as in (x1*x2)^k
+powers = st.builds(power, words, st.integers(1, 4))
+
+# raw syllable sequences over a small alphabet, repeated so that the least
+# syllable and whole rotations recur
+periodic = st.builds(
+    lambda syls, k: tuple(syls) * k,
+    st.lists(st.tuples(st.integers(1, 2), st.sampled_from((-1, 1, 2))), max_size=6),
+    st.integers(1, 4),
+)
 
 
 def assert_valid(w: Word) -> None:
@@ -61,3 +74,25 @@ def test_unvalidated_results_pass_public_validation(a, b, k):
     assert_valid(cyc)
     assert_valid(t)
     assert conjugate(cyc, t) == concat(a, b)
+
+
+@given(periodic)
+@example(((1, 1), (2, 1)) * 3)
+@example(((1, 1), (2, 1), (1, 1), (1, 2)))  # the second least syllable starts it
+def test_least_offset_is_first_least_rotation(syls):
+    rotations = [syls[i:] + syls[:i] for i in range(len(syls))]
+    expected = rotations.index(min(rotations)) if syls else 0
+    assert _least_offset(syls) == expected
+
+
+@given(st.one_of(words, powers))
+def test_cyclic_reduce_returns_canonical_word_itself(w):
+    canonical = cyclic_reduce(w)[0]
+    again, t = cyclic_reduce(canonical)
+    assert again is canonical and t is IDENTITY
+
+
+@given(st.one_of(words, powers), words)
+def test_cyclic_reduce_conjugates_back(w, g):
+    for x in (w, conjugate(w, g)):
+        assert conjugate(*cyclic_reduce(x)) == x
