@@ -5,7 +5,6 @@ hyperbolicity classification of closed pure 3-braids."""
 from .artin import (
     ArtinCheck,
     Presentation,
-    SurgeryParams,
     gen_from_hex,
     gen_from_params,
     rat_group,
@@ -13,7 +12,6 @@ from .artin import (
 )
 from .braids import BraidClass, PureBraid, classify, normalize, rho_torus_witness, to_braid_word
 from .freeprod import (
-    FPCyclicWord,
     FPWord,
     fp_concat,
     fp_cyclic_reduce,
@@ -30,7 +28,7 @@ from .hexa import (
     HexSymmetry,
     LinearCell,
     ParamRow,
-    SurgerySpec,
+    SurgeryParams,
     instantiate_row,
     orbit,
     parse_cell,

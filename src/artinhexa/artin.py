@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .hexa import HexFilling, SurgerySpec, to_surgery
+from .hexa import HexFilling, SurgeryParams, to_surgery
 from .words import Word, concat, generator, invert, power, serialize_word
 
 
@@ -49,19 +49,6 @@ class Presentation:
 
 
 @dataclass(frozen=True, slots=True)
-class SurgeryParams:
-    """Integral framings (m, n, p) on the braid
-    ``Delta^(2e) (sigma1^2)^e1 (sigma2^2)^f1``."""
-
-    m: int
-    n: int
-    p: int
-    e: int
-    e1: int
-    f1: int
-
-
-@dataclass(frozen=True, slots=True)
 class ArtinCheck:
     w: bool
     f: bool
@@ -93,15 +80,6 @@ def gen_from_params(s: SurgeryParams) -> Presentation:
     return Presentation(3, (r1, r2, r3))
 
 
-def surgery_presentation(spec: SurgerySpec) -> Presentation:
-    """gen_from_params on a single-block surgery description."""
-    if len(spec.braid.blocks) > 1:
-        raise PresentationError("surgery presentations need a single-block braid")
-    e1, f1 = spec.braid.blocks[0] if spec.braid.blocks else (0, 0)
-    m, n, p = spec.framings
-    return gen_from_params(SurgeryParams(m, n, p, spec.braid.twist, e1, f1))
-
-
 def gen_from_hex(h: HexFilling) -> Presentation:
     """Presentation of the double branched cover of the filled hexatangle:
     gen_from_params composed with the surgery correspondence.  The
@@ -113,7 +91,7 @@ def gen_from_hex(h: HexFilling) -> Presentation:
 
     with ``K = x1 (x2 x3)^gamma x2 (x2 x3)^-gamma``.
     """
-    return surgery_presentation(to_surgery(h))
+    return gen_from_params(to_surgery(h))
 
 
 def verify_artin(pres: Presentation) -> ArtinCheck:

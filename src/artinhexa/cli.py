@@ -67,11 +67,11 @@ def _cmd_gen_presentation(args) -> int:
     if (args.hex is None) == (args.params is None):
         raise DomainError("give exactly one of --hex or --params")
     if args.hex is not None:
-        filling = hexa.HexFilling.from_tuple(_parse_ints(args.hex, 6, "--hex"))
+        filling = hexa.HexFilling(*_parse_ints(args.hex, 6, "--hex"))
         pres = artin.gen_from_hex(filling)
     else:
-        m, n, p, e, e1, f1 = _parse_ints(args.params, 6, "--params")
-        pres = artin.gen_from_params(artin.SurgeryParams(m, n, p, e, e1, f1))
+        params = hexa.SurgeryParams(*_parse_ints(args.params, 6, "--params"))
+        pres = artin.gen_from_params(params)
     _emit(_presentation_text(pres), args.out)
     return 0
 
@@ -109,14 +109,14 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_symmetry(args) -> int:
-    filling = hexa.HexFilling.from_tuple(_parse_ints(args.hex, 6, "--hex"))
+    filling = hexa.HexFilling(*_parse_ints(args.hex, 6, "--hex"))
     sym = tables.symmetry_by_index(args.index)
     print(sym.apply(filling))
     return 0
 
 
 def _cmd_orbit(args) -> int:
-    filling = hexa.HexFilling.from_tuple(_parse_ints(args.hex, 6, "--hex"))
+    filling = hexa.HexFilling(*_parse_ints(args.hex, 6, "--hex"))
     for image in hexa.orbit(filling, tables.load_symmetries(), args.mirror == "on"):
         print(image)
     return 0

@@ -125,35 +125,15 @@ def fp_power(w: FPWord, k: int) -> FPWord:
     return fp_concat(*([w] * k)) if k else FP_IDENTITY
 
 
-@dataclass(frozen=True, slots=True)
-class FPCyclicWord:
-    """Canonical (least) rotation of a cyclically reduced normal form."""
-
-    syllables: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        syls = self.syllables
-        if len(syls) > 1 and (syls[0] == D_SYL) == (syls[-1] == D_SYL):
-            raise FPWordError("cyclic word is not cyclically reduced")
-        if syls != _least_rotation(syls):
-            raise FPWordError("cyclic word is not in canonical rotation")
-
-    def to_word(self) -> FPWord:
-        return FPWord(self.syllables)
-
-    def __str__(self) -> str:
-        return serialize_fp_word(self.to_word())
-
-
 def _least_rotation(syls: tuple[int, ...]) -> tuple[int, ...]:
     if len(syls) <= 1:
         return syls
     return min(syls[i:] + syls[:i] for i in range(len(syls)))
 
 
-def fp_cyclic_reduce(w: FPWord) -> FPCyclicWord:
+def fp_cyclic_reduce(w: FPWord) -> FPWord:
     """Cyclic normal form: merge wrap-around same-factor syllables, then
-    rotate to the canonical representative."""
+    rotate to the canonical (least) representative."""
     syls = list(w.syllables)
     while len(syls) >= 2 and (syls[0] == D_SYL) == (syls[-1] == D_SYL):
         last = syls.pop()
@@ -165,7 +145,7 @@ def fp_cyclic_reduce(w: FPWord) -> FPCyclicWord:
             merged = k if k else None
         if merged is not None:
             syls.insert(0, merged)
-    return FPCyclicWord(_least_rotation(tuple(syls)))
+    return FPWord(_least_rotation(tuple(syls)))
 
 
 def fp_is_conjugate(a: FPWord, b: FPWord) -> bool:
@@ -253,7 +233,7 @@ def parse_fp_word(text: str) -> FPWord:
     return fp_reduce(pairs)
 
 
-def serialize_fp_word(w: FPWord | FPCyclicWord) -> str:
+def serialize_fp_word(w: FPWord) -> str:
     if not w.syllables:
         return "1"
     return "*".join(_NAMES[s] for s in w.syllables)

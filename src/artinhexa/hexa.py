@@ -41,13 +41,6 @@ class HexFilling:
     def as_tuple(self) -> tuple[int, ...]:
         return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon, self.eta)
 
-    @classmethod
-    def from_tuple(cls, values: Iterable[int]) -> "HexFilling":
-        values = tuple(int(v) for v in values)
-        if len(values) != 6:
-            raise HexError(f"expected 6 parameters, got {len(values)}")
-        return cls(*values)
-
     def mirror(self) -> "HexFilling":
         """Mirror image: every integral tangle negated.  This negates the
         exponent-sum matrix of the presentation, so the divisors agree; a
@@ -201,21 +194,28 @@ def tetrahedral_control() -> tuple[HexSymmetry, ...]:
 
 
 @dataclass(frozen=True, slots=True)
-class SurgerySpec:
-    """Dehn-surgery description of the double branched cover of a filled
-    hexatangle: integral framings on a single-block closed pure 3-braid."""
+class SurgeryParams:
+    """Integral framings (m, n, p) on the single-block closed pure 3-braid
+    ``Delta^(2e) (sigma1^2)^e1 (sigma2^2)^f1``."""
 
-    framings: tuple[int, int, int]
-    braid: PureBraid
+    m: int
+    n: int
+    p: int
+    e: int
+    e1: int
+    f1: int
+
+    @property
+    def braid(self) -> PureBraid:
+        return PureBraid(((self.e1, self.f1),), self.e)
 
 
-def to_surgery(h: HexFilling) -> SurgerySpec:
+def to_surgery(h: HexFilling) -> SurgeryParams:
     """Surgery correspondence: the double branched cover of the filling is
     the ``(-a-d-h, -b-d-g-h, -e-g-h)`` surgery on
     ``sigma1^(-2 delta) sigma2^(-2 gamma) Delta^(-2 eta)``."""
     a, b, g, d, e, h_ = h.as_tuple()
-    framings = (-a - d - h_, -b - d - g - h_, -e - g - h_)
-    return SurgerySpec(framings, PureBraid(((-d, -g),), -h_))
+    return SurgeryParams(-a - d - h_, -b - d - g - h_, -e - g - h_, -h_, -d, -g)
 
 
 @dataclass(frozen=True, slots=True)

@@ -58,16 +58,6 @@ class ReportRow(Task):
     braid_class: str
     example_match: str = ""
 
-    def sort_key(self):
-        return (
-            self.table,
-            self.row,
-            self.assignment,
-            self.branch,
-            self.symmetry,
-            self.mirrored,
-        )
-
 
 TSV_COLUMNS = (
     "table",
@@ -212,9 +202,7 @@ class ExampleMatch:
 
 
 def match_examples(
-    tasks: Sequence[Task],
-    param_range: tuple[int, int] = (-5, 5),
-    tables: Iterable[int] = EXAMPLE_TABLES,
+    tasks: Sequence[Task], param_range: tuple[int, int] = (-5, 5)
 ) -> list[ExampleMatch]:
     """Compare every example-table row against the tasks' relator triples,
     generated once per distinct filling; the first task with a triple is
@@ -229,7 +217,7 @@ def match_examples(
     for filling, task in first_task.items():
         by_triple.setdefault(gen_from_hex(filling).serialized_relators(), task)
     out = []
-    for table in tables:
+    for table in EXAMPLE_TABLES:
         for example in load_examples(table):
             matched = 0
             first = ""

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .hexa import CellSyntaxError, LinearCell, parse_cell
+from .hexa import HexError, LinearCell, parse_cell
 from .words import Word, concat, generator, power
 
 
@@ -76,8 +76,8 @@ class RelatorExpr:
 
 
 _GEN_RE = re.compile(r"x(\d+)", re.ASCII)
-_INT_RE = re.compile(r"-?\d+", re.ASCII)
-_VAR_RE = re.compile(r"-?[a-z]+")
+# a bare signed integer or variable, or a parenthesised cell without parens
+_EXP_RE = re.compile(r"-?(?:\d+|[a-z]+)|\(([^)]*)\)", re.ASCII)
 
 
 class _Scanner:
@@ -109,39 +109,17 @@ class _Scanner:
 
 
 def _parse_exp(sc: _Scanner) -> LinearCell:
-    if sc.peek() == "(":
-        sc.expect("(")
-        depth = 1
-        start = sc.pos
-        while sc.pos < len(sc.text) and depth:
-            if sc.text[sc.pos] == "(":
-                depth += 1
-            elif sc.text[sc.pos] == ")":
-                depth -= 1
-            sc.pos += 1
-        if depth:
-            raise RelatorExprError(f"unbalanced exponent parens in {sc.text!r}")
-        inner = sc.text[start : sc.pos - 1]
-        try:
-            cell = parse_cell(inner)
-        except CellSyntaxError as exc:
-            raise RelatorExprError(str(exc)) from exc
-        if cell.pm:
-            raise RelatorExprError(f"± not allowed in exponent {inner!r}")
-        return cell
-    m = sc.match_re(_INT_RE)
-    if m:
-        return LinearCell(c0=int(m.group(0)))
-    m = sc.match_re(_VAR_RE)
-    if m:
-        tok = m.group(0)
-        sign = -1 if tok.startswith("-") else 1
-        name = tok.lstrip("-")
-        try:
-            return LinearCell(c0=0, c1=sign, var=name)
-        except ValueError as exc:
-            raise RelatorExprError(str(exc)) from exc
-    raise RelatorExprError(f"expected exponent at position {sc.pos} in {sc.text!r}")
+    m = sc.match_re(_EXP_RE)
+    if not m:
+        raise RelatorExprError(f"expected exponent at position {sc.pos} in {sc.text!r}")
+    text = m.group(0) if m.group(1) is None else m.group(1)
+    try:
+        cell = parse_cell(text)
+    except HexError as exc:
+        raise RelatorExprError(str(exc)) from exc
+    if cell.pm:
+        raise RelatorExprError(f"± not allowed in exponent {text!r}")
+    return cell
 
 
 def _parse_factor(sc: _Scanner) -> Factor:

@@ -16,6 +16,7 @@ from importlib.resources import files
 
 from .hexa import SLOTS, HexError, HexSymmetry, ParamRow, parse_cell
 from .relexpr import RelatorExpr, parse_relator_expr
+from .words import parse_int
 
 DATA_ENV = "ARTINHEXA_DATA"
 
@@ -40,15 +41,33 @@ def read_data_text(name: str) -> str:
     return files("artinhexa").joinpath("data", name).read_text(encoding="utf-8")
 
 
-def _rows(text: str, name: str) -> list[list[str]]:
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        out.append([cell.strip() for cell in line.split("\t")])
-    if not out:
+def _read(
+    name: str, width: int, header: bool = True
+) -> tuple[tuple[str, ...], list[tuple[int, list[str]]]]:
+    """The declared column order (empty without a header line) and the
+    ``(number, cells)`` rows of data file ``name``, ``width`` cells each."""
+    lines = [
+        [cell.strip() for cell in line.split("\t")]
+        for line in read_data_text(name).splitlines()
+        if line.strip()
+    ]
+    if not lines:
         raise TableError(f"{name} is empty")
-    return out
+    order: tuple[str, ...] = ()
+    if header:
+        order = tuple(lines[0][0].split())
+        if sorted(order) != sorted(SLOTS):
+            raise TableError(f"{name}: bad column declaration {lines[0]}")
+        del lines[0]
+    rows = []
+    for cells in lines:
+        if len(cells) != width + 1:
+            raise TableError(f"{name}: expected row number + {width} cells, got {cells}")
+        try:
+            rows.append((parse_int(cells[0]), cells[1:]))
+        except ValueError:
+            raise TableError(f"{name}: bad row number {cells[0]!r}") from None
+    return order, rows
 
 
 @lru_cache(maxsize=None)
@@ -56,24 +75,11 @@ def load_table(table_id: int) -> tuple[ParamRow, ...]:
     """Parameter table 1, 2 or 3 in its printed column order."""
     if table_id not in PARAM_TABLES:
         raise TableError(f"no parameter table {table_id}")
-    name = f"table{table_id}.tsv"
-    lines = _rows(read_data_text(name), name)
-    order = tuple(lines[0][0].split())
-    if sorted(order) != sorted(SLOTS):
-        raise TableError(f"{name}: bad column declaration {lines[0]}")
-    rows = []
-    for cells in lines[1:]:
-        if len(cells) != 7:
-            raise TableError(f"{name}: expected row number + 6 cells, got {cells}")
-        rows.append(
-            ParamRow(
-                table_id=table_id,
-                row=int(cells[0]),
-                column_order=order,
-                cells=tuple(parse_cell(c) for c in cells[1:]),
-            )
-        )
-    return tuple(rows)
+    order, rows = _read(f"table{table_id}.tsv", 6)
+    return tuple(
+        ParamRow(table_id, number, order, tuple(parse_cell(c) for c in cells))
+        for number, cells in rows
+    )
 
 
 @lru_cache(maxsize=None)
@@ -82,21 +88,14 @@ def load_symmetries() -> tuple[HexSymmetry, ...]:
     identity).  Validation is a separate, explicit step; loading never
     corrects anything."""
     name = "symmetries.tsv"
-    lines = _rows(read_data_text(name), name)
-    order = tuple(lines[0][0].split())
-    if sorted(order) != sorted(SLOTS):
-        raise TableError(f"{name}: bad column declaration {lines[0]}")
+    order, rows = _read(name, 6)
     syms = []
-    for cells in lines[1:]:
-        if len(cells) != 7:
-            raise TableError(f"{name}: expected index + 6 sources, got {cells}")
-        by_slot = dict(zip(order, cells[1:]))
+    for number, cells in rows:
+        by_slot = dict(zip(order, cells))
         try:
-            syms.append(
-                HexSymmetry(int(cells[0]), tuple(by_slot[s] for s in SLOTS))
-            )
+            syms.append(HexSymmetry(number, tuple(by_slot[s] for s in SLOTS)))
         except HexError as exc:
-            raise TableError(f"{name} row {cells[0]}: {exc}") from exc
+            raise TableError(f"{name} row {number}: {exc}") from exc
     return tuple(syms)
 
 
@@ -144,17 +143,8 @@ class ExampleRow:
 def load_examples(table: int) -> tuple[ExampleRow, ...]:
     if table not in EXAMPLE_TABLES:
         raise TableError(f"no example table {table}")
-    name = f"examples{table}.tsv"
-    lines = _rows(read_data_text(name), name)
-    rows = []
-    for cells in lines:
-        if len(cells) != 4:
-            raise TableError(f"{name}: expected row number + 3 relators, got {cells}")
-        rows.append(
-            ExampleRow(
-                table=table,
-                row=int(cells[0]),
-                relators=tuple(parse_relator_expr(c) for c in cells[1:]),
-            )
-        )
-    return tuple(rows)
+    _, rows = _read(f"examples{table}.tsv", 3, header=False)
+    return tuple(
+        ExampleRow(table, number, tuple(parse_relator_expr(c) for c in cells))
+        for number, cells in rows
+    )

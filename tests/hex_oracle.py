@@ -1,7 +1,7 @@
 """Closed-form relators of a filled hexatangle, kept as a test oracle.
 
 ``artin.gen_from_hex`` builds the presentation through the surgery
-correspondence (``surgery_presentation(to_surgery(h))``).  This module
+correspondence (``gen_from_params(to_surgery(h))``).  This module
 writes the collapsed exponent formula out directly, so the tests can check
 the two routes agree word for word.  Not collected by pytest (no ``test_``
 prefix); test modules import it.

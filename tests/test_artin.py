@@ -12,7 +12,6 @@ from artinhexa.artin import (
     gen_from_hex,
     gen_from_params,
     rat_group,
-    surgery_presentation,
     verify_artin,
 )
 from artinhexa.hexa import HexFilling, to_surgery
@@ -136,7 +135,7 @@ def test_hex_params_consistency_sampled():
 
 def test_surgery_presentation_matches_hex_route():
     h = HexFilling(2, -1, 3, -2, 0, 1)
-    assert surgery_presentation(to_surgery(h)).relators == closed_form_relators(h)
+    assert gen_from_params(to_surgery(h)).relators == closed_form_relators(h)
 
 
 def test_rat_group_drops_last_relator():

@@ -6,7 +6,6 @@ import pytest
 from artinhexa.freeprod import (
     D,
     FP_IDENTITY,
-    FPCyclicWord,
     FPWord,
     FPWordError,
     Y,
@@ -91,15 +90,15 @@ def test_fp_cyclic_reduce_examples():
     # y^2 D y D y^2 has cyclic class (D y)^2
     w = fp_power(Y2D, 2) * fp_power(DY2, 2)
     assert fp_cyclic_reduce(w) == fp_cyclic_reduce(fp_power(DY, 2))
-    assert fp_cyclic_reduce(D).to_word() == D
-    assert fp_cyclic_reduce(DY * DY).to_word() == DY * DY
+    assert fp_cyclic_reduce(D) == D
+    assert fp_cyclic_reduce(DY * DY) == DY * DY
 
 
-def test_fp_cyclic_canonical_validates():
-    with pytest.raises(FPWordError):
-        FPCyclicWord((1, 0, 1))
-    with pytest.raises(FPWordError):
-        FPCyclicWord((1, 0))  # (0, 1) is the least rotation
+def test_fp_cyclic_reduce_is_canonical():
+    for w in all_fp_words(6):
+        c = fp_cyclic_reduce(w)
+        assert fp_cyclic_reduce(c) == c
+    assert fp_cyclic_reduce(FPWord((1, 0))) == FPWord((0, 1))
 
 
 def test_fp_is_conjugate_examples():

@@ -130,11 +130,11 @@ def test_symmetries_preserve_abelian_invariants():
 
 def test_to_surgery_examples():
     spec = to_surgery(HexFilling(1, 1, 1, 0, 0, 0))
-    assert spec.framings == (-1, -2, -1)
+    assert (spec.m, spec.n, spec.p) == (-1, -2, -1)
     assert spec.braid == PureBraid(((0, -1),), 0)
 
     spec = to_surgery(HexFilling(0, 0, 0, 0, 0, 0))
-    assert spec.framings == (0, 0, 0)
+    assert (spec.m, spec.n, spec.p) == (0, 0, 0)
     assert spec.braid == PureBraid(((0, 0),), 0)
 
 
@@ -143,7 +143,7 @@ def test_to_surgery_formula():
     for _ in range(100):
         h = rand_filling(rng)
         spec = to_surgery(h)
-        assert spec.framings == (
+        assert (spec.m, spec.n, spec.p) == (
             -h.alpha - h.delta - h.eta,
             -h.beta - h.delta - h.gamma - h.eta,
             -h.epsilon - h.gamma - h.eta,

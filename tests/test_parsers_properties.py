@@ -11,9 +11,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from artinhexa.artin import Presentation
 from artinhexa.braids import BraidError, format_blocks, parse_blocks, parse_braid_word
 from artinhexa.hexa import CellSyntaxError, parse_cell, serialize_cell
 from artinhexa.relexpr import RelatorExprError, parse_relator_expr
+from artinhexa.cli import DomainError, _load_presentation
 from artinhexa.words import WordSyntaxError, parse_word, serialize_word
 
 # Fragments of the grammars, so that accepted input is common, mixed with
@@ -26,6 +28,17 @@ FRAGMENTS = (
 texts = st.one_of(
     st.text(max_size=30),
     st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join),
+)
+# presentation files: a rank line (any integer, some near misses) and lines
+# of text, often relators
+rank_lines = st.one_of(st.integers().map("rank {}".format), texts)
+presentation_texts = st.one_of(
+    st.text(),
+    st.builds(
+        lambda head, lines: "\n".join([head, *lines]),
+        rank_lines,
+        st.lists(texts, max_size=4),
+    ),
 )
 
 
@@ -72,3 +85,18 @@ def test_parse_braid_word_accepts_or_raises_braid_error(text):
         parse_braid_word(text)
     except BraidError:
         pass
+
+
+@pytest.fixture(scope="module")
+def presentation_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("presentation") / "pres.txt"
+
+
+@given(presentation_texts)
+def test_load_presentation_accepts_or_raises_domain_or_value_error(presentation_path, text):
+    presentation_path.write_text(text, encoding="utf-8")
+    try:
+        pres = _load_presentation(str(presentation_path))
+    except (DomainError, ValueError):
+        return
+    assert isinstance(pres, Presentation)

@@ -1,9 +1,11 @@
 import pytest
 
 from artinhexa import tables
+from artinhexa.cli import main
 from artinhexa.hexa import serialize_cell
 from artinhexa.tables import (
     EXAMPLE_TABLES,
+    PARAM_TABLES,
     TableError,
     load_examples,
     load_symmetries,
@@ -123,3 +125,40 @@ def test_data_env_missing_file(tmp_path, monkeypatch):
     finally:
         monkeypatch.delenv(tables.DATA_ENV)
         load_table.cache_clear()
+
+
+LOADERS = {
+    "table1.tsv": lambda: load_table(1),
+    "symmetries.tsv": load_symmetries,
+    "examples5.tsv": lambda: load_examples(5),
+}
+
+
+def _clear_caches():
+    for loader in (load_table, load_symmetries, load_examples):
+        loader.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_row_numbers_take_ascii_digits_only(name, tmp_path, monkeypatch, capsys):
+    # a copy of the bundled data whose first row number in `name` is
+    # "\u0661_0", which int() reads as 10
+    names = [f"table{t}.tsv" for t in PARAM_TABLES] + ["symmetries.tsv"]
+    names += [f"examples{t}.tsv" for t in EXAMPLE_TABLES]
+    for data_name in names:
+        lines = read_data_text(data_name).split("\n")
+        if data_name == name:
+            first = 0 if name.startswith("examples") else 1
+            lines[first] = "\u0661_0" + lines[first][lines[first].index("\t"):]
+        (tmp_path / data_name).write_text("\n".join(lines), encoding="utf-8")
+    monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
+    _clear_caches()
+    try:
+        with pytest.raises(TableError, match="bad row number"):
+            LOADERS[name]()
+        argv = ["run-tables", "--tables", "1", "--param-range=0..0", "--symmetries", "id"]
+        assert main(argv) == 1
+        assert f"{name}: bad row number" in capsys.readouterr().err
+    finally:
+        monkeypatch.delenv(tables.DATA_ENV)
+        _clear_caches()
