@@ -185,6 +185,9 @@ def format_blocks(blocks: Iterable[tuple[int, int]]) -> str:
 
 
 _BRAID_SYL_RE = re.compile(r"s([12])(?:\^(-?\d+))?\Z", re.ASCII)
+# A parsed word has one letter per unit of exponent, so the exponents are
+# summed and checked before any letter is built.
+MAX_BRAID_LETTERS = 100_000
 
 
 def parse_braid_word(text: str) -> tuple[int, ...]:
@@ -192,7 +195,7 @@ def parse_braid_word(text: str) -> tuple[int, ...]:
     stripped = text.strip()
     if stripped == "1":
         return ()
-    letters: list[int] = []
+    syllables: list[tuple[int, int]] = []
     for chunk in stripped.split("*"):
         token = chunk.strip()
         m = _BRAID_SYL_RE.match(token)
@@ -200,5 +203,8 @@ def parse_braid_word(text: str) -> tuple[int, ...]:
             raise BraidError(f"expected s1 or s2 syllable, got {token!r}")
         gen = int(m.group(1))
         exp = int(m.group(2)) if m.group(2) is not None else 1
-        letters.extend([gen if exp > 0 else -gen] * abs(exp))
-    return tuple(letters)
+        syllables.append((gen if exp > 0 else -gen, abs(exp)))
+    total = sum(count for _, count in syllables)
+    if total > MAX_BRAID_LETTERS:
+        raise BraidError(f"braid word has {total} letters, above the limit {MAX_BRAID_LETTERS}")
+    return tuple(letter for letter, count in syllables for _ in range(count))

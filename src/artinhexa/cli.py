@@ -9,8 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from . import artin, braids, freeprod, hexa, pipeline, tables, triviality, words
+
+
+# One divisor per declared generator is allocated and printed, so the rank
+# line alone would set the output size.
+MAX_FILE_RANK = 10_000
 
 
 class DomainError(Exception):
@@ -45,6 +51,8 @@ def _load_presentation(path: str) -> artin.Presentation:
     if len(head) != 2 or head[0] != "rank":
         raise DomainError(f"{path}: first line must be 'rank N'")
     rank = words.parse_int(head[1])
+    if rank > MAX_FILE_RANK:
+        raise DomainError(f"{path}: rank {rank} is above the limit {MAX_FILE_RANK}")
     relators = tuple(words.parse_word(line) for line in lines[1:])
     return artin.Presentation(rank, relators)
 
@@ -55,12 +63,14 @@ def _presentation_text(pres: artin.Presentation) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the chunks as they come; the file is opened only now, so an
+    input error raised before this creates no file."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_gen_presentation(args) -> int:
@@ -72,7 +82,7 @@ def _cmd_gen_presentation(args) -> int:
     else:
         params = hexa.SurgeryParams(*_parse_ints(args.params, 6, "--params"))
         pres = artin.gen_from_params(params)
-    _emit(_presentation_text(pres), args.out)
+    _emit([_presentation_text(pres)], args.out)
     return 0
 
 
@@ -164,8 +174,7 @@ def _report_args(args) -> dict:
 
 def _cmd_run_tables(args) -> int:
     rows = pipeline.run_tables(**_report_args(args), jobs=args.jobs, budget=args.budget)
-    text = pipeline.report_json(rows) if args.json else pipeline.report_tsv(rows)
-    _emit(text, args.out)
+    _emit(pipeline.report_lines(rows, as_json=args.json), args.out)
     return 0
 
 
@@ -173,7 +182,7 @@ def _cmd_match_examples(args) -> int:
     cfg = _report_args(args)
     matches = pipeline.match_examples(pipeline.build_tasks(**cfg), cfg["param_range"])
     text = pipeline.matches_json(matches) if args.json else pipeline.matches_tsv(matches)
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0
 
 

@@ -9,6 +9,10 @@ per distinct filling and its cells are shared by every row with that
 filling.  Rows come out in a fixed canonical order whatever the worker
 count, so reports are byte-identical across ``jobs`` settings.
 ``match_examples`` compares tasks with the example tables by relators only.
+
+The sweep is streamed: tasks are generated lazily, rows are yielded block
+by block, and the cells of recent fillings are kept in a cache of fixed
+size, so memory does not grow with the parameter range.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import multiprocessing
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .artin import gen_from_hex, verify_artin
 from .braids import classify
@@ -35,6 +38,13 @@ from .triviality import DEFAULT_BUDGET, simplify
 from .words import serialize_word
 
 Assignment = tuple[tuple[str, int], ...]
+
+# Tasks taken per block: the block's new fillings go to the workers in one
+# ``map``, so at benchmark scale each run is a single block.
+BLOCK_TASKS = 4096
+# Fillings whose cells are kept; the oldest is dropped first.  The chain is
+# pure, so a dropped filling only costs a second run of the chain.
+CACHE_FILLINGS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,15 +89,17 @@ TSV_COLUMNS = (
 )
 
 
-def assignments_for(variables: Sequence[str], param_range: tuple[int, int]) -> list[Assignment]:
+def assignments_for(
+    variables: Sequence[str], param_range: tuple[int, int]
+) -> Iterator[Assignment]:
     lo, hi = param_range
     if lo > hi:
         raise ValueError(f"empty parameter range {lo}..{hi}")
     values = range(lo, hi + 1)
-    return [
+    return (
         tuple(zip(variables, combo))
         for combo in itertools.product(values, repeat=len(variables))
-    ]
+    )
 
 
 def build_tasks(
@@ -95,47 +107,52 @@ def build_tasks(
     param_range: tuple[int, int] = (-5, 5),
     symmetries: str = "all",
     mirror: bool = False,
-) -> list[Task]:
+) -> Iterator[Task]:
+    """The tasks in canonical order, generated lazily.  The arguments are
+    checked and the tables loaded before this returns, so bad input raises
+    here and not part-way through the stream."""
     if symmetries not in ("all", "id"):
         raise ValueError(f"symmetries must be 'all' or 'id', got {symmetries!r}")
     syms: tuple[HexSymmetry, ...]
     syms = load_symmetries() if symmetries == "all" else (identity_symmetry(),)
-    tasks = []
-    for table_id in tables:
-        for row in load_table(table_id):
+    assignments_for((), param_range)  # raises on an empty range
+    loaded = [(table_id, load_table(table_id)) for table_id in tables]
+    return _tasks(loaded, param_range, syms, mirror)
+
+
+def _tasks(loaded, param_range, syms, mirror) -> Iterator[Task]:
+    for table_id, table_rows in loaded:
+        for row in table_rows:
             for assignment in assignments_for(row.variables(), param_range):
                 for branch, base in instantiate_row(row, dict(assignment)):
                     for sym in syms:
                         image = sym.apply(base)
                         for mirrored in (False, True) if mirror else (False,):
                             filling = image.mirror() if mirrored else image
-                            tasks.append(
-                                Task(
-                                    table_id,
-                                    row.row,
-                                    assignment,
-                                    branch,
-                                    sym.index,
-                                    mirrored,
-                                    filling,
-                                )
+                            yield Task(
+                                table_id,
+                                row.row,
+                                assignment,
+                                branch,
+                                sym.index,
+                                mirrored,
+                                filling,
                             )
-    return tasks
 
 
-def _run_filling(filling: HexFilling, budget: int) -> dict:
-    """The report cells that depend on the filling alone, as ``ReportRow``
-    keyword arguments."""
+def _run_filling(filling: HexFilling, budget: int) -> tuple:
+    """The report cells that depend on the filling alone, in ``ReportRow``
+    field order from ``relators`` to ``braid_class``."""
     pres = gen_from_hex(filling)
     check = verify_artin(pres)
     verdict = simplify(pres, budget)
-    return dict(
-        relators=pres.serialized_relators(),
-        artin_w=check.w,
-        artin_f=check.f,
-        divisors=verdict.divisors,
-        verdict=verdict.tag,
-        braid_class=str(classify(to_surgery(filling).braid)),
+    return (
+        pres.serialized_relators(),
+        check.w,
+        check.f,
+        verdict.divisors,
+        verdict.tag,
+        str(classify(to_surgery(filling).braid)),
     )
 
 
@@ -146,25 +163,38 @@ def run_tables(
     mirror: bool = False,
     jobs: int = 1,
     budget: int = DEFAULT_BUDGET,
-) -> list[ReportRow]:
+) -> Iterator[ReportRow]:
+    """The report rows in task order, as an iterator.  The arguments are
+    checked before this returns; the chain runs as the rows are taken."""
     tasks = build_tasks(tables, param_range, symmetries, mirror)
-    fillings = list(dict.fromkeys(task.filling for task in tasks))
+    return _rows(tasks, param_range, jobs, budget)
+
+
+def _rows(tasks, param_range, jobs, budget) -> Iterator[ReportRow]:
     run = functools.partial(_run_filling, budget=budget)
-    if jobs <= 1:
-        results = list(map(run, fillings))
-    else:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(run, fillings, chunksize=64)
-    cells = dict(zip(fillings, results))
     index = example_index(param_range)
-    return [
-        ReportRow(
-            **vars(task),
-            **cells[task.filling],
-            example_match=index.get(cells[task.filling]["relators"], ""),
-        )
-        for task in tasks
-    ]
+    cache: dict[HexFilling, tuple] = {}
+    pool = None
+    if jobs > 1:
+        import multiprocessing
+
+        pool = multiprocessing.Pool(jobs)
+    try:
+        while block := list(itertools.islice(tasks, BLOCK_TASKS)):
+            # the block reads its cells from this dict, never from the
+            # cache, so what the cache drops below cannot reach its rows
+            cells = {task.filling: cache.get(task.filling) for task in block}
+            todo = [filling for filling, cell in cells.items() if cell is None]
+            results = map(run, todo) if pool is None else pool.map(run, todo, chunksize=64)
+            for filling, result in zip(todo, results):
+                cells[filling] = cache[filling] = (*result, index.get(result[0], ""))
+                if len(cache) > CACHE_FILLINGS:
+                    del cache[next(iter(cache))]
+            for task in block:
+                yield ReportRow(*vars(task).values(), *cells[task.filling])
+    finally:
+        if pool is not None:
+            pool.terminate()
 
 
 def _example_instances(example: ExampleRow, param_range: tuple[int, int]):
@@ -202,7 +232,7 @@ class ExampleMatch:
 
 
 def match_examples(
-    tasks: Sequence[Task], param_range: tuple[int, int] = (-5, 5)
+    tasks: Iterable[Task], param_range: tuple[int, int] = (-5, 5)
 ) -> list[ExampleMatch]:
     """Compare every example-table row against the tasks' relator triples,
     generated once per distinct filling; the first task with a triple is
@@ -272,15 +302,30 @@ def _row_cells(row: ReportRow) -> list[str]:
     ]
 
 
-def report_tsv(rows: Sequence[ReportRow]) -> str:
-    lines = ["\t".join(TSV_COLUMNS)]
-    lines.extend("\t".join(_row_cells(row)) for row in rows)
-    return "\n".join(lines) + "\n"
+def report_lines(rows: Iterable[ReportRow], as_json: bool = False) -> Iterator[str]:
+    """The report as it is written, one chunk per row (and one for the
+    header or the brackets), so a report is never held whole.  The JSON
+    chunks join to ``json.dumps(payload, indent=2) + "\\n"``."""
+    if not as_json:
+        yield "\t".join(TSV_COLUMNS) + "\n"
+        for row in rows:
+            yield "\t".join(_row_cells(row)) + "\n"
+        return
+    yield "["
+    sep = ""
+    for row in rows:
+        text = json.dumps(dict(zip(TSV_COLUMNS, _row_cells(row))), indent=2)
+        yield sep + "\n  " + text.replace("\n", "\n  ")
+        sep = ","
+    yield "\n]\n" if sep else "]\n"
 
 
-def report_json(rows: Sequence[ReportRow]) -> str:
-    payload = [dict(zip(TSV_COLUMNS, _row_cells(row))) for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+def report_tsv(rows: Iterable[ReportRow]) -> str:
+    return "".join(report_lines(rows))
+
+
+def report_json(rows: Iterable[ReportRow]) -> str:
+    return "".join(report_lines(rows, as_json=True))
 
 
 def matches_tsv(matches: Sequence[ExampleMatch]) -> str:

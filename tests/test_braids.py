@@ -247,3 +247,13 @@ def test_parse_braid_word():
     for bad in ("s3", "s1^\u0661", "s2^-\u0662"):
         with pytest.raises(BraidError):
             parse_braid_word(bad)
+
+
+def test_parse_braid_word_refuses_oversized_words():
+    limit = braids.MAX_BRAID_LETTERS
+    assert len(parse_braid_word(f"s1^{limit}")) == limit
+    assert parse_braid_word(f"s1^{limit // 2}*s2^-{limit // 2}")[-1] == -2
+    # the exponents are summed before a letter is built
+    for big in (f"s1^{limit + 1}", f"s1^{limit}*s2^-1", "s2^-" + "9" * 30):
+        with pytest.raises(BraidError, match="above the limit"):
+            parse_braid_word(big)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import artinhexa
 from artinhexa import pipeline, triviality
 from artinhexa.cli import main
 
@@ -80,6 +84,8 @@ def test_simplify_negative_rank_file(tmp_path, capsys):
         ("rank 3 junk\nx1\nx2\nx3\n", "first line must be 'rank N'"),
         ("rank\nx1\n", "first line must be 'rank N'"),
         ("rank3\n", "first line must be 'rank N'"),
+        # one divisor per declared generator would be allocated and printed
+        ("rank 2000000\n", "above the limit 10000"),
     ],
 )
 def test_simplify_rejects_bad_rank_line(tmp_path, capsys, text, message):
@@ -124,6 +130,8 @@ def test_rho(capsys):
     assert out.strip() == "y"
     code, out, _ = run(capsys, "rho", "--braid-word", "s1*s2^2*s1")
     assert out.strip() == "y*D*y*D"
+    code, out, err = run(capsys, "rho", "--braid-word", "s1^2000000")
+    assert code == 1 and out == "" and "above the limit" in err
 
 
 def test_symmetry_and_orbit(capsys):
@@ -175,6 +183,32 @@ def test_run_tables_tsv_and_json(tmp_path, capsys):
     )
     payload = json.loads(out)
     assert payload[0]["verdict"] in ("Trivial", "NotTrivial", "Unknown")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--tables", "1,9"), ("--param-range=2..1",), ("--symmetries", "id", "--tables", "0")],
+)
+@pytest.mark.parametrize("command", ["run-tables", "match-examples"])
+def test_report_input_errors_create_no_file(tmp_path, capsys, command, argv):
+    # the report is streamed into the file, so input is checked before it opens
+    out_path = tmp_path / "report.tsv"
+    code, _, err = run(capsys, command, *argv, "--out", str(out_path))
+    assert code == 1 and err.startswith("error:")
+    assert not out_path.exists()
+
+
+def test_jobs_1_imports_no_pool(tmp_path):
+    # a pool costs its import on every command, so only --jobs > 1 pays it
+    code = (
+        "import sys; from artinhexa.cli import main; "
+        f"main(['run-tables', '--tables', '1', '--param-range=0..0', '--out', {str(tmp_path / 'r.tsv')!r}]); "
+        "main(['match-examples', '--tables', '1', '--param-range=0..0', '--jobs', '2']); "
+        "print('multiprocessing' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_match_examples_small(capsys):

@@ -2,13 +2,11 @@
 value or raises its module's documented error, and accepted input
 round-trips through the matching serializer."""
 
-import re
-
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from artinhexa.artin import Presentation
@@ -79,8 +77,6 @@ def test_parse_blocks_accepts_or_raises_braid_error(text):
 
 @given(texts)
 def test_parse_braid_word_accepts_or_raises_braid_error(text):
-    # the result has one letter per unit of exponent, so keep exponents small
-    assume(not re.search(r"\d{5}", text, re.ASCII))
     try:
         parse_braid_word(text)
     except BraidError:

@@ -1,8 +1,16 @@
+import functools
+import json
+
 import pytest
 
 from artinhexa import pipeline, triviality
-from artinhexa.artin import gen_from_hex
+from artinhexa.artin import gen_from_hex, verify_artin
+from artinhexa.braids import classify
+from artinhexa.hexa import to_surgery
 from artinhexa.pipeline import (
+    TSV_COLUMNS,
+    ReportRow,
+    _row_cells,
     assignments_for,
     build_tasks,
     example_index,
@@ -12,18 +20,79 @@ from artinhexa.pipeline import (
     report_tsv,
     run_tables,
 )
+from artinhexa.triviality import DEFAULT_BUDGET, simplify
 
 SMALL = dict(tables=(1,), param_range=(-1, 1), symmetries="id")
 
 
+def reference_run_tables(tables, param_range, symmetries, mirror, budget=DEFAULT_BUDGET):
+    """``run_tables`` as a list: every task, then the cells of every distinct
+    filling, then every row.  The oracle for the streamed sweep."""
+    tasks = list(build_tasks(tables, param_range, symmetries, mirror))
+    cells = {}
+    for filling in dict.fromkeys(task.filling for task in tasks):
+        pres = gen_from_hex(filling)
+        check = verify_artin(pres)
+        verdict = simplify(pres, budget)
+        cells[filling] = dict(
+            relators=pres.serialized_relators(),
+            artin_w=check.w,
+            artin_f=check.f,
+            divisors=verdict.divisors,
+            verdict=verdict.tag,
+            braid_class=str(classify(to_surgery(filling).braid)),
+        )
+    index = example_index(param_range)
+    return [
+        ReportRow(
+            **vars(task),
+            **cells[task.filling],
+            example_match=index.get(cells[task.filling]["relators"], ""),
+        )
+        for task in tasks
+    ]
+
+
+def reference_report_tsv(rows):
+    lines = ["\t".join(TSV_COLUMNS)]
+    lines.extend("\t".join(_row_cells(row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def reference_report_json(rows):
+    payload = [dict(zip(TSV_COLUMNS, _row_cells(row))) for row in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def reference_reports(mirror):
+    """Tables 1 at -1..1 under all symmetries: 632 distinct fillings with
+    the mirror on, and 4608 rows, more than one block."""
+    rows = reference_run_tables((1,), (-1, 1), "all", mirror)
+    return reference_report_tsv(rows), reference_report_json(rows)
+
+
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """The fillings sent through the chain, in order."""
+    calls = []
+
+    def counting(filling):
+        calls.append(filling)
+        return gen_from_hex(filling)
+
+    monkeypatch.setattr(pipeline, "gen_from_hex", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def small_report():
-    return run_tables(**SMALL)
+    return list(run_tables(**SMALL))
 
 
 def test_assignments_for():
-    assert assignments_for((), (-5, 5)) == [()]
-    assert assignments_for(("gamma",), (-1, 1)) == [
+    assert list(assignments_for((), (-5, 5))) == [()]
+    assert list(assignments_for(("gamma",), (-1, 1))) == [
         (("gamma", -1),),
         (("gamma", 0),),
         (("gamma", 1),),
@@ -66,19 +135,45 @@ def test_report_serialization_shapes(small_report):
     assert lines[0].split("\t") == list(pipeline.TSV_COLUMNS)
     assert len(lines) == len(small_report) + 1
     js = report_json(small_report)
-    import json
-
     payload = json.loads(js)
     assert len(payload) == len(small_report)
     assert payload[0]["filling"] == "1,1,1,0,0,0"
+    # the streamed JSON chunks join to one json.dumps of the whole payload
+    for rows in (small_report, small_report[:1], []):
+        assert report_json(rows) == reference_report_json(rows)
+        assert report_tsv(rows) == reference_report_tsv(rows)
+    assert report_json([]) == "[]\n"
 
 
 def test_jobs_do_not_change_report():
     for mirror in (False, True):
         config = dict(tables=(1,), param_range=(-1, 1), symmetries="all", mirror=mirror)
-        a = run_tables(**config, jobs=1)
-        b = run_tables(**config, jobs=4)
-        assert report_tsv(a) == report_tsv(b), f"mirror={mirror}"
+        expected = reference_reports(mirror)
+        for jobs in (1, 2, 4):
+            rows = list(run_tables(**config, jobs=jobs))
+            got = report_tsv(rows), report_json(rows)
+            assert got == expected, f"mirror={mirror} jobs={jobs}"
+
+
+def test_first_row_runs_the_chain_on_one_block(monkeypatch, chain_calls):
+    monkeypatch.setattr(pipeline, "BLOCK_TASKS", 256)
+    rows = run_tables(param_range=(-5, 5), symmetries="all", jobs=1)
+    assert chain_calls == []
+    first = next(rows)
+    assert (first.table, first.row, first.symmetry) == (1, 1, 1)
+    assert 0 < len(chain_calls) <= 256
+    rows.close()
+
+
+def test_cache_eviction_keeps_the_bytes(monkeypatch, chain_calls):
+    # a cache far smaller than a block: fillings of the block being
+    # written are dropped from it, and come back through the chain later
+    monkeypatch.setattr(pipeline, "BLOCK_TASKS", 512)
+    monkeypatch.setattr(pipeline, "CACHE_FILLINGS", 16)
+    config = dict(tables=(1,), param_range=(-1, 1), symmetries="all", mirror=True)
+    rows = list(run_tables(**config, jobs=1))
+    assert (report_tsv(rows), report_json(rows)) == reference_reports(True)
+    assert len(chain_calls) > len(set(chain_calls)) == 632
 
 
 def test_chain_runs_once_per_distinct_filling(monkeypatch):
@@ -96,9 +191,9 @@ def test_chain_runs_once_per_distinct_filling(monkeypatch):
 
     monkeypatch.setattr(pipeline, "gen_from_hex", counting)
     monkeypatch.setattr(triviality, "smith_invariants", counting_smith)
-    rows = run_tables(
+    rows = list(run_tables(
         tables=(1,), param_range=(-1, 1), symmetries="all", mirror=True, jobs=1,
-    )
+    ))
     assert len(rows) == 4608
     assert len(calls) == len(set(calls)) == len({r.filling for r in rows}) == 632
     # the divisors come from the search's own Smith form
@@ -106,8 +201,8 @@ def test_chain_runs_once_per_distinct_filling(monkeypatch):
 
 
 def test_mirror_flag_adds_rows():
-    plain = run_tables(**SMALL, mirror=False)
-    mirrored = run_tables(**SMALL, mirror=True)
+    plain = list(run_tables(**SMALL, mirror=False))
+    mirrored = list(run_tables(**SMALL, mirror=True))
     assert len(mirrored) == 2 * len(plain)
     assert any(r.mirrored for r in mirrored)
 
@@ -116,7 +211,7 @@ def test_mirror_rows_agree_with_their_originals():
     # negating all six parameters negates the exponent-sum matrix, so the
     # divisors must agree; W, the braid class and the decided verdicts are
     # the rest of the mirror convention
-    rows = run_tables(tables=(1, 2, 3), param_range=(-1, 1), symmetries="id", mirror=True)
+    rows = list(run_tables(tables=(1, 2, 3), param_range=(-1, 1), symmetries="id", mirror=True))
     def key(r):
         return (r.table, r.row, r.assignment, r.branch, r.symmetry)
 
@@ -154,3 +249,16 @@ def test_match_examples_finds_table5_and_flags_corruption(small_report):
 def test_unknown_symmetry_mode_rejected():
     with pytest.raises(ValueError):
         build_tasks(symmetries="some")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(symmetries="some"), dict(tables=(1, 9)), dict(param_range=(2, 1))],
+    ids=["symmetries", "table", "range"],
+)
+def test_bad_arguments_raise_before_any_row(kwargs):
+    # the tasks and rows are lazy, but their arguments are checked on call
+    with pytest.raises(ValueError):
+        build_tasks(**kwargs)
+    with pytest.raises(ValueError):
+        run_tables(**kwargs)
