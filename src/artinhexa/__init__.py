@@ -7,19 +7,15 @@ from .artin import (
     Presentation,
     gen_from_hex,
     gen_from_params,
-    rat_group,
     verify_artin,
 )
-from .braids import BraidClass, PureBraid, classify, normalize, rho_torus_witness, to_braid_word
+from .braids import BraidClass, PureBraid, classify
 from .freeprod import (
     FPWord,
     fp_concat,
     fp_cyclic_reduce,
     fp_invert,
-    fp_is_conjugate,
     fp_is_even_power_form,
-    fp_reduce,
-    parse_fp_word,
     rho,
     serialize_fp_word,
 )
@@ -42,11 +38,9 @@ from .words import (
     Word,
     abelianize,
     concat,
-    conjugate,
     cyclic_reduce,
     generator,
     invert,
-    is_conjugate,
     parse_word,
     power,
     reduce_word,

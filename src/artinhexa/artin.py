@@ -11,7 +11,6 @@ presentation can satisfy in the free group are checked exactly:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .hexa import HexFilling, SurgeryParams, to_surgery
@@ -20,11 +19,6 @@ from .words import Word, concat, generator, invert, power, serialize_word
 
 class PresentationError(ValueError):
     pass
-
-
-class RatGroupWarning(UserWarning):
-    """rat_group called on a presentation whose preconditions were not
-    certified."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +53,10 @@ _X2 = generator(2)
 _X3 = generator(3)
 _X23 = concat(_X2, _X3)
 _X123 = concat(_X1, _X2, _X3)
+# Every relator below has at most |e1|*(4|f1|+2) + 2|f1| + 3|e| + 1
+# syllables; three times that is checked against this cap before any word
+# is built.
+MAX_PRESENTATION_SYLLABLES = 2_000_000
 
 
 def gen_from_params(s: SurgeryParams) -> Presentation:
@@ -69,7 +67,16 @@ def gen_from_params(s: SurgeryParams) -> Presentation:
         r1 = x1^(m-e-e1)        K^e1 (x1 x2 x3)^e
         r2 = x2^(n-e-e1-f1) (x2 x3)^f1 K^e1 (x1 x2 x3)^e
         r3 = x3^(p-e-f1)    (x2 x3)^f1      (x1 x2 x3)^e
+
+    Parameters whose bound on the syllable count exceeds
+    ``MAX_PRESENTATION_SYLLABLES`` raise ``PresentationError``.
     """
+    e, e1, f1 = abs(s.e), abs(s.e1), abs(s.f1)
+    bound = 3 * (e1 * (4 * f1 + 2) + 2 * f1 + 3 * e + 1)
+    if bound > MAX_PRESENTATION_SYLLABLES:
+        raise PresentationError(
+            f"presentation may have {bound} syllables, above the limit {MAX_PRESENTATION_SYLLABLES}"
+        )
     x23_f1 = power(_X23, s.f1)
     block = concat(_X1, invert(x23_f1), _X2, x23_f1)
     block_e1 = power(block, s.e1)
@@ -114,24 +121,3 @@ def verify_artin(pres: Presentation) -> ArtinCheck:
         w_parts.extend((r_inv, x, r))
         f_parts.extend((r, x, r_inv))
     return ArtinCheck(w=concat(*w_parts) == target, f=concat(*f_parts) == target)
-
-
-def rat_group(pres: Presentation, certified: bool = False) -> Presentation:
-    """Drop the last relator, producing the deficiency-1 presentation.
-
-    The construction is only meaningful on an Artin presentation of the
-    trivial group; pass ``certified=True`` once the Artin identity and a
-    Trivial verdict are in hand, otherwise a warning (not an error) is
-    issued and the presentation is produced anyway.
-    """
-    if not pres.relators:
-        raise PresentationError("no relator to drop")
-    if not certified:
-        check = verify_artin(pres)
-        if not (check.w or check.f):
-            warnings.warn(
-                "rat_group input satisfies neither Artin identity",
-                RatGroupWarning,
-                stacklevel=2,
-            )
-    return Presentation(pres.rank, pres.relators[:-1])

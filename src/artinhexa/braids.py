@@ -14,14 +14,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .freeprod import (
-    EvenPowerForm,
-    FPWord,
-    fp_concat,
-    fp_power,
-    fp_is_even_power_form,
-    rho,
-)
 from .words import cyclic_reduce, parse_int, reduce_word
 
 HYPERBOLIC = "Hyperbolic"
@@ -55,26 +47,6 @@ class BraidClass:
         return f"{self.tag} {','.join(self.clauses)}".strip()
 
 
-def normalize(b: PureBraid) -> PureBraid:
-    """Merge blocks across zero exponents and drop all-zero blocks.
-
-    ``(e,0),(e',f')`` becomes ``(e+e',f')`` and ``(e,f),(0,f')`` becomes
-    ``(e,f+f')``; the expanded braid word is unchanged up to free
-    cancellation.
-    """
-    out: list[list[int]] = []
-    for e, f in b.blocks:
-        if out and out[-1][1] == 0:
-            out[-1] = [out[-1][0] + e, f]
-        elif out and e == 0:
-            out[-1][1] += f
-        else:
-            out.append([e, f])
-        if out[-1] == [0, 0]:
-            out.pop()
-    return PureBraid(tuple((e, f) for e, f in out), b.twist)
-
-
 def _cyclic_blocks(blocks: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Canonical block list of the *closure*: the cyclic canonical form of
     the block word in sigma1^2 (generator 1) and sigma2^2 (generator 2), so
@@ -87,18 +59,6 @@ def _cyclic_blocks(blocks: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], 
         return ((exp, 0),) if gen == 1 else ((0, exp),)
     # generator 1 sorts first, so the least rotation starts at a sigma1 run
     return tuple((syls[i][1], syls[i + 1][1]) for i in range(0, len(syls), 2))
-
-
-def to_braid_word(b: PureBraid) -> tuple[int, ...]:
-    """Literal letter expansion, with the half twist spelled as
-    sigma1 sigma2 sigma1; length is ``sum(2|e_i| + 2|f_i|) + 6|e|``."""
-    letters: list[int] = []
-    for e, f in b.blocks:
-        letters.extend([1 if e > 0 else -1] * (2 * abs(e)))
-        letters.extend([2 if f > 0 else -2] * (2 * abs(f)))
-    half = (1, 2, 1) if b.twist > 0 else (-1, -2, -1)
-    letters.extend(half * (2 * abs(b.twist)))
-    return tuple(letters)
 
 
 def classify(b: PureBraid) -> BraidClass:
@@ -141,27 +101,6 @@ def classify(b: PureBraid) -> BraidClass:
     return BraidClass(HYPERBOLIC)
 
 
-_S1 = rho([1])
-_S2 = rho([2])
-
-
-def rho_torus_witness(b: PureBraid) -> EvenPowerForm | None:
-    """Independent torus oracle: image of the block product in Z2 * Z3 is an
-    even power of y^2*D or D*y exactly for the all-(1,1) / all-(-1,-1)
-    braids.  The full twist is ignored (it dies under the quotient).
-
-    Requires every block exponent nonzero; normalize the braid differently
-    first if not.
-    """
-    parts: list[FPWord] = []
-    for e, f in b.blocks:
-        if e == 0 or f == 0:
-            raise BraidError(f"block ({e},{f}) has a zero exponent")
-        parts.append(fp_power(_S1, 2 * e))
-        parts.append(fp_power(_S2, 2 * f))
-    return fp_is_even_power_form(fp_concat(*parts))
-
-
 def parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
     """Parse the block format ``"e1,f1;e2,f2;..."``; empty text means no
     blocks."""
@@ -201,8 +140,11 @@ def parse_braid_word(text: str) -> tuple[int, ...]:
         m = _BRAID_SYL_RE.match(token)
         if not m:
             raise BraidError(f"expected s1 or s2 syllable, got {token!r}")
-        gen = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) is not None else 1
+        gen = parse_int(m.group(1))
+        try:
+            exp = parse_int(m.group(2) or "1")
+        except ValueError:
+            raise BraidError(f"exponent with too many digits in syllable {len(syllables) + 1}") from None
         syllables.append((gen if exp > 0 else -gen, abs(exp)))
     total = sum(count for _, count in syllables)
     if total > MAX_BRAID_LETTERS:

@@ -12,9 +12,10 @@ images of braid words under that map.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable
+
+from .words import _least_offset
 
 D_SYL = 0
 Y_SYL = 1
@@ -24,7 +25,7 @@ _NAMES = {D_SYL: "D", Y_SYL: "y", Y2_SYL: "y^2"}
 
 
 class FPWordError(ValueError):
-    """Malformed free-product word data or text."""
+    """Malformed free-product word data or braid letters."""
 
 
 def _push(stack: list[int], syl: int) -> None:
@@ -40,21 +41,6 @@ def _push(stack: list[int], syl: int) -> None:
                 stack.append(k)
         else:
             break
-
-
-def _reduce(pairs: Iterable[tuple[str, int]]) -> tuple[int, ...]:
-    stack: list[int] = []
-    for factor, exp in pairs:
-        if factor == "D":
-            if exp % 2:
-                _push(stack, D_SYL)
-        elif factor == "y":
-            k = exp % 3
-            if k:
-                _push(stack, k)
-        else:
-            raise FPWordError(f"unknown factor {factor!r}")
-    return tuple(stack)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,12 +83,6 @@ Y = FPWord((Y_SYL,))
 Y2 = FPWord((Y2_SYL,))
 
 
-def fp_reduce(pairs: Iterable[tuple[str, int]]) -> FPWord:
-    """Normal form of a raw sequence of ``("D", exp)`` / ``("y", exp)``
-    syllables; D exponents are taken mod 2 and y exponents mod 3."""
-    return FPWord(_reduce(pairs))
-
-
 def _inv_syl(syl: int) -> int:
     return syl if syl == D_SYL else 3 - syl
 
@@ -125,33 +105,15 @@ def fp_power(w: FPWord, k: int) -> FPWord:
     return fp_concat(*([w] * k)) if k else FP_IDENTITY
 
 
-def _least_rotation(syls: tuple[int, ...]) -> tuple[int, ...]:
-    if len(syls) <= 1:
-        return syls
-    return min(syls[i:] + syls[:i] for i in range(len(syls)))
-
-
 def fp_cyclic_reduce(w: FPWord) -> FPWord:
     """Cyclic normal form: merge wrap-around same-factor syllables, then
     rotate to the canonical (least) representative."""
-    syls = list(w.syllables)
+    syls = w.syllables
     while len(syls) >= 2 and (syls[0] == D_SYL) == (syls[-1] == D_SYL):
-        last = syls.pop()
-        first = syls.pop(0)
-        if first == D_SYL:
-            merged = None  # D*D = 1
-        else:
-            k = (last + first) % 3
-            merged = k if k else None
-        if merged is not None:
-            syls.insert(0, merged)
-    return FPWord(_least_rotation(tuple(syls)))
-
-
-def fp_is_conjugate(a: FPWord, b: FPWord) -> bool:
-    """Conjugacy test: cyclic normal forms agree up to rotation, which the
-    canonical representative makes a plain equality."""
-    return fp_cyclic_reduce(a) == fp_cyclic_reduce(b)
+        merged = 0 if syls[0] == D_SYL else (syls[0] + syls[-1]) % 3  # D*D = 1
+        syls = (merged,) + syls[1:-1] if merged else syls[1:-1]
+    offset = _least_offset(syls)
+    return FPWord(syls[offset:] + syls[:offset])
 
 
 # images of sigma1, sigma2 and their inverses
@@ -208,29 +170,6 @@ def fp_is_even_power_form(w: FPWord) -> EvenPowerForm | None:
         return None
     base = FPWord((Y2_SYL, D_SYL)) if ys == {Y2_SYL} else FPWord((D_SYL, Y_SYL))
     return EvenPowerForm(n // 4, base)
-
-
-_FP_SYL_RE = re.compile(r"(D|y\^2|y)\Z")
-
-
-def parse_fp_word(text: str) -> FPWord:
-    """Parse ``"1" | SYL ("*" SYL)*`` with ``SYL := "D" | "y" | "y^2"``."""
-    stripped = text.strip()
-    if stripped == "1":
-        return FP_IDENTITY
-    if not stripped:
-        raise FPWordError("empty word text")
-    pairs: list[tuple[str, int]] = []
-    for chunk in stripped.split("*"):
-        token = chunk.strip()
-        m = _FP_SYL_RE.match(token)
-        if not m:
-            raise FPWordError(f"expected D, y or y^2, got {token!r}")
-        if token == "D":
-            pairs.append(("D", 1))
-        else:
-            pairs.append(("y", 2 if token == "y^2" else 1))
-    return fp_reduce(pairs)
 
 
 def serialize_fp_word(w: FPWord) -> str:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .braids import PureBraid
+from .words import parse_int
 
 SLOTS = ("alpha", "beta", "gamma", "delta", "epsilon", "eta")
 _SLOT_INDEX = {name: i for i, name in enumerate(SLOTS)}
@@ -250,10 +251,6 @@ class LinearCell:
             return (self.c0 + base, -self.c0 + base)
         return (self.c0 + base,)
 
-    @property
-    def is_concrete(self) -> bool:
-        return self.var is None and not self.pm
-
 
 _TERM_RE = re.compile(r"([+-])?\s*(\d+|[a-z]+)", re.ASCII)
 
@@ -280,12 +277,16 @@ def parse_cell(text: str) -> LinearCell:
             raise CellSyntaxError(f"missing +/- between terms in {original!r}")
         sign = -1 if sign_tok == "-" else 1
         if term.isdigit():
+            try:
+                value = parse_int(term)
+            except ValueError:
+                raise CellSyntaxError("integer with too many digits in cell") from None
             if pm and first:
                 if sign_tok is not None:
                     raise CellSyntaxError(f"± must prefix an unsigned term in {original!r}")
-                c0 = int(term)
+                c0 = value
             else:
-                c0 += sign * int(term)
+                c0 += sign * value
         else:
             if var is not None:
                 raise CellSyntaxError(f"more than one variable in {original!r}")

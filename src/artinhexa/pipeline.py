@@ -226,10 +226,6 @@ class ExampleMatch:
     matched: int
     first_match: str  # report-row coordinates, "" when unmatched
 
-    @property
-    def fully_matched(self) -> bool:
-        return self.instances > 0 and self.matched == self.instances
-
 
 def match_examples(
     tasks: Iterable[Task], param_range: tuple[int, int] = (-5, 5)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .hexa import HexError, LinearCell, parse_cell
-from .words import Word, concat, generator, power
+from .words import Word, concat, generator, parse_int, power
 
 
 class RelatorExprError(ValueError):
@@ -53,10 +53,6 @@ class RelatorExpr:
 
         walk(self.factors)
         return tuple(seen)
-
-    @property
-    def is_concrete(self) -> bool:
-        return not self.variables()
 
     def instantiate(self, assignment: Mapping[str, int] | None = None) -> Word:
         assignment = assignment or {}
@@ -134,7 +130,10 @@ def _parse_factor(sc: _Scanner) -> Factor:
             raise RelatorExprError(
                 f"expected generator or group at position {sc.pos} in {sc.text!r}"
             )
-        base = int(m.group(1))
+        try:
+            base = parse_int(m.group(1))
+        except ValueError:
+            raise RelatorExprError(f"too many digits at position {m.start()} in a generator index") from None
         if base < 1:
             raise RelatorExprError(f"generator index {base} out of range")
     exp = _CONST_ONE

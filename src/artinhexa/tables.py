@@ -22,8 +22,6 @@ DATA_ENV = "ARTINHEXA_DATA"
 
 PARAM_TABLES = (1, 2, 3)
 EXAMPLE_TABLES = (5, 6, 7, 8, 9, 10)
-# which parameter table each example table's rows were generated from
-EXAMPLE_SOURCES = {5: 1, 6: 1, 7: 2, 8: 2, 9: 3, 10: 3}
 
 
 class TableError(ValueError):
@@ -121,10 +119,6 @@ class ExampleRow:
     table: int
     row: int
     relators: tuple[RelatorExpr, RelatorExpr, RelatorExpr]
-
-    @property
-    def source_table(self) -> int:
-        return EXAMPLE_SOURCES[self.table]
 
     def variables(self) -> tuple[str, ...]:
         seen: list[str] = []

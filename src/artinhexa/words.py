@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Syllable = tuple[int, int]
 
@@ -79,13 +79,6 @@ class Word:
     def __len__(self) -> int:
         """Letter length, counting each generator with multiplicity."""
         return sum(abs(exp) for _, exp in self.syllables)
-
-    def letters(self) -> Iterator[int]:
-        """Yield signed generator indices letter by letter."""
-        for gen, exp in self.syllables:
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield gen * step
 
     def max_generator(self) -> int:
         return max((gen for gen, _ in self.syllables), default=0)
@@ -169,11 +162,6 @@ def _join_cancellation(
     return cancelled
 
 
-def conjugate(w: Word, g: Word) -> Word:
-    """Right conjugation ``g^-1 * w * g`` (fixed convention)."""
-    return concat(invert(g), w, g)
-
-
 def abelianize(w: Word, rank: int) -> tuple[int, ...]:
     """Exponent-sum vector of length ``rank``."""
     sums = [0] * rank
@@ -184,10 +172,10 @@ def abelianize(w: Word, rank: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def _least_offset(syls: tuple[Syllable, ...]) -> int:
-    """Offset of the first lexicographically least rotation of ``syls``.
-    Only an offset holding a least syllable can start it, so rotations are
-    compared only when that syllable occurs more than once."""
+def _least_offset(syls: tuple) -> int:
+    """Offset of the first lexicographically least rotation of ``syls`` (of
+    any comparable syllables).  Only an offset holding a least syllable can
+    start it, so rotations are compared only when it occurs more than once."""
     least = min(syls, default=None)
     if syls.count(least) == 1:
         return syls.index(least)
@@ -200,10 +188,11 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
     The canonical form of a conjugacy class is the lexicographically least
     rotation (ordering syllables by generator, then exponent) of a
-    cyclically reduced word.  Returns ``(c, t)`` with ``w == conjugate(c,
-    t)`` exactly: the rotation offset of the canonicalization is folded
-    into ``t``.  A word that is already canonical comes back as ``(w,
-    IDENTITY)``, the same object ``w``, and nothing is copied.
+    cyclically reduced word.  Returns ``(c, t)`` with ``w == t^-1 * c * t``
+    exactly (right conjugation, ``w == conjugate(c, t)``): the rotation
+    offset of the canonicalization is folded into ``t``.  A word that is
+    already canonical comes back as ``(w, IDENTITY)``, the same object
+    ``w``, and nothing is copied.
     """
     syls = w.syllables
     conj: list[Syllable] = []
@@ -223,14 +212,9 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return canonical, _word((syls[offset:] if offset else ()) + tuple(conj))
 
 
-def is_conjugate(a: Word, b: Word) -> bool:
-    """Conjugacy test: equality of cyclic canonical forms."""
-    return cyclic_reduce(a)[0] == cyclic_reduce(b)[0]
-
-
 def parse_int(text: str) -> int:
-    """``int(text)`` without its non-ASCII digits and ``_`` separators;
-    anything but a sign, ASCII digits and spaces raises ``ValueError``."""
+    """``int(text)`` on a sign, ASCII digits and spaces only; anything else,
+    or more digits than ``int`` reads, raises ``ValueError``."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
@@ -255,8 +239,11 @@ def parse_word(text: str) -> Word:
         m = _SYLLABLE_RE.match(token)
         if not m:
             raise WordSyntaxError(f"expected syllable, got {token!r}", at)
-        gen = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            gen = parse_int(m.group(1))
+            exp = parse_int(m.group(2) or "1")
+        except ValueError:
+            raise WordSyntaxError("integer with too many digits", at) from None
         if gen < 1:
             raise WordSyntaxError(f"generator index {gen} out of range", at)
         if exp == 0:

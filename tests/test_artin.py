@@ -3,15 +3,14 @@ import random
 
 import pytest
 
+from artinhexa import artin
 from artinhexa.artin import (
     ArtinCheck,
     Presentation,
     PresentationError,
-    RatGroupWarning,
     SurgeryParams,
     gen_from_hex,
     gen_from_params,
-    rat_group,
     verify_artin,
 )
 from artinhexa.hexa import HexFilling, to_surgery
@@ -138,37 +137,25 @@ def test_surgery_presentation_matches_hex_route():
     assert gen_from_params(to_surgery(h)).relators == closed_form_relators(h)
 
 
-def test_rat_group_drops_last_relator():
-    pres = gen_from_hex(HexFilling(1, 1, 0, 0, 1, 0))
-    rat = rat_group(pres, certified=True)
-    assert rat.rank == 3
-    assert rat.serialized_relators() == ("x1^-1", "x2^-1")
+def syllable_bound(s):
+    """The bound ``gen_from_params`` checks, written out again."""
+    e, e1, f1 = abs(s.e), abs(s.e1), abs(s.f1)
+    return 3 * (e1 * (4 * f1 + 2) + 2 * f1 + 3 * e + 1)
 
 
-def test_rat_group_table5_row1():
-    pres = gen_from_hex(HexFilling(1, 1, 1, 0, 0, 0))
-    rat = rat_group(pres, certified=True)
-    assert rat.serialized_relators() == ("x1^-1", "x2^-1*x3^-1*x2^-1")
+def test_syllable_bound_is_never_below_the_real_count():
+    rng = random.Random(101)
+    for _ in range(400):
+        s = SurgeryParams(*(rng.randint(-30, 30) for _ in range(6)))
+        syllables = sum(len(r.syllables) for r in gen_from_params(s).relators)
+        assert syllables <= syllable_bound(s)
 
 
-def test_rat_group_warns_on_non_artin_input():
-    pres = Presentation(3, (parse_word("x1*x2"), parse_word("x2*x3"), parse_word("x3*x1")))
-    check = verify_artin(pres)
-    assert not (check.w or check.f)
-    with pytest.warns(RatGroupWarning):
-        out = rat_group(pres)
-    assert len(out.relators) == 2
-
-
-def test_rat_group_no_warning_when_certified():
-    import warnings
-
-    pres = Presentation(3, (parse_word("x1*x2"), parse_word("x2*x3"), parse_word("x3*x1")))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rat_group(pres, certified=True)
-
-
-def test_rat_group_requires_a_relator():
-    with pytest.raises(PresentationError):
-        rat_group(Presentation(3, ()), certified=True)
+def test_gen_from_params_refuses_oversized_presentations(monkeypatch):
+    # the bound is read from the parameters, so the cap applies exactly
+    s = SurgeryParams(1, 2, 3, -2, 5, -4)
+    monkeypatch.setattr(artin, "MAX_PRESENTATION_SYLLABLES", syllable_bound(s))
+    gen_from_params(s)
+    monkeypatch.setattr(artin, "MAX_PRESENTATION_SYLLABLES", syllable_bound(s) - 1)
+    with pytest.raises(PresentationError, match="above the limit"):
+        gen_from_params(s)

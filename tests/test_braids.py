@@ -12,13 +12,11 @@ from artinhexa.braids import (
     PureBraid,
     classify,
     format_blocks,
-    normalize,
     parse_blocks,
     parse_braid_word,
-    rho_torus_witness,
-    to_braid_word,
 )
 from artinhexa.freeprod import rho
+from oracles import normalize, rho_torus_witness, to_braid_word
 
 
 def test_normalize_merges_across_zero():

@@ -40,6 +40,13 @@ def test_gen_presentation_bad_filling(capsys):
     assert code == 1 and "expected 6 integers" in err
 
 
+def test_gen_presentation_refuses_oversized_presentations(capsys):
+    # about 1.2e9 syllables: the bound is checked before any word is built
+    code, out, err = run(capsys, "gen-presentation", "--hex", "1,1,10000,10000,1,1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: presentation may have") and "above the limit" in err
+
+
 def test_verify_and_simplify_roundtrip(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     code, out, _ = run(capsys, "gen-presentation", "--hex", "1,1,1,0,0,0", "--out", str(path))

@@ -13,11 +13,8 @@ from artinhexa.freeprod import (
     fp_concat,
     fp_cyclic_reduce,
     fp_invert,
-    fp_is_conjugate,
     fp_is_even_power_form,
     fp_power,
-    fp_reduce,
-    parse_fp_word,
     rho,
     serialize_fp_word,
 )
@@ -45,20 +42,20 @@ def all_fp_words(max_len):
 
 
 def test_fp_reduce_torsion():
-    assert fp_reduce([("y", 1), ("y", 1), ("y", 1)]) == FP_IDENTITY
-    assert fp_reduce([("D", 1), ("D", 1)]) == FP_IDENTITY
+    assert fp_concat(Y, Y, Y) == FP_IDENTITY
+    assert fp_concat(D, D) == FP_IDENTITY
 
 
 def test_fp_reduce_rho_of_half_twist():
     # (y^2 D)(D y^2)(y^2 D) collapses to D
-    w = fp_reduce([("y", 2), ("D", 1), ("D", 1), ("y", 2), ("y", 2), ("D", 1)])
+    w = fp_concat(Y2, D, D, Y2, Y2, D)
     assert w == D
 
 
 def test_fp_reduce_mod_exponents():
-    assert fp_reduce([("y", 5)]) == Y2
-    assert fp_reduce([("D", -3)]) == D
-    assert fp_reduce([("y", -1)]) == Y2
+    assert fp_power(Y, 5) == Y2
+    assert fp_power(D, -3) == D
+    assert fp_power(Y, -1) == Y2
 
 
 def test_fp_concat_invert_examples():
@@ -98,12 +95,16 @@ def test_fp_cyclic_reduce_is_canonical():
     for w in all_fp_words(6):
         c = fp_cyclic_reduce(w)
         assert fp_cyclic_reduce(c) == c
+        # the least rotation, as first written: the minimum over all of them
+        syls = c.syllables
+        assert syls == min((syls[i:] + syls[:i] for i in range(len(syls))), default=())
     assert fp_cyclic_reduce(FPWord((1, 0))) == FPWord((0, 1))
 
 
 def test_fp_is_conjugate_examples():
-    assert fp_is_conjugate(YD, DY)
-    assert not fp_is_conjugate(Y, Y2)
+    # conjugacy classes are compared through their cyclic normal forms
+    assert fp_cyclic_reduce(YD) == fp_cyclic_reduce(DY)
+    assert fp_cyclic_reduce(Y) != fp_cyclic_reduce(Y2)
 
 
 def test_fp_conjugacy_against_brute_force():
@@ -117,10 +118,10 @@ def test_fp_conjugacy_against_brute_force():
     for _ in range(120):
         a, b = rng.choice(words), rng.choice(words)
         if brute(a, b):
-            assert fp_is_conjugate(a, b)
+            assert fp_cyclic_reduce(a) == fp_cyclic_reduce(b)
     for _ in range(200):
         w, g = rng.choice(words), rng.choice(conjugators)
-        assert fp_is_conjugate(fp_invert(g) * w * g, w)
+        assert fp_cyclic_reduce(fp_invert(g) * w * g) == fp_cyclic_reduce(w)
 
 
 def test_rho_anchors():
@@ -214,13 +215,3 @@ def test_naive_power_shortcut_for_block_images_is_wrong_and_unused():
         assert image != shortcut
     # the genuine normal form for (1, 1) is the Case-1 shape y^2 D y D y^2
     assert serialize_fp_word(rho_block_product([(1, 1)])) == "y^2*D*y*D*y^2"
-
-
-def test_parse_serialize_round_trip():
-    for text in ("1", "D", "y", "y^2", "D*y*D*y^2", "y^2*D*y*D*y^2"):
-        assert serialize_fp_word(parse_fp_word(text)) == text
-    assert parse_fp_word("y*y*y") == FP_IDENTITY
-    with pytest.raises(FPWordError):
-        parse_fp_word("y^3")
-    with pytest.raises(FPWordError):
-        parse_fp_word("Delta")

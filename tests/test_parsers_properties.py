@@ -23,9 +23,18 @@ FRAGMENTS = (
     "^", "*", "(", ")", ",", ";", " ", "\t", "\u00a0", "\u0661", "gamma", "alpha",
     "foo", "1,1", "-1,2;",
 )
+# a digit run longer than int() reads (4300 digits by default), placed where
+# each grammar reads an integer
+long_digits = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(("", "-", "x", "x1^", "x2^-", "s1^", "s2^-", "1,", "±", "gamma+", "x1^(")),
+    st.integers(4301, 6000).map("9".__mul__),
+    st.sampled_from(("", "*x1", ",1", "-alpha", ")", ";1,1")),
+)
 texts = st.one_of(
     st.text(max_size=30),
     st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join),
+    long_digits,
 )
 # presentation files: a rank line (any integer, some near misses) and lines
 # of text, often relators

@@ -235,7 +235,7 @@ def test_example_index_contains_known_triples():
 def test_match_examples_finds_table5_and_flags_corruption(small_report):
     matches = [m for m in match_examples(small_report, (-1, 1)) if m.table == 5]
     by_row = {m.row: m for m in matches}
-    assert by_row[1].fully_matched
+    assert by_row[1].matched == by_row[1].instances > 0
     assert "table1 row 1" in by_row[1].first_match
     # negative control: a corrupted triple must not match anything
     corrupted = ("x1^-1", "x2^-1*x3^-1*x2^-1", "x3^-1*x2^-1*x1^-1")

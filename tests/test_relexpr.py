@@ -41,8 +41,8 @@ def test_instantiation_reduces():
 
 
 def test_concrete_flag():
-    assert parse_relator_expr("x1*x2").is_concrete
-    assert not parse_relator_expr("x1^beta").is_concrete
+    assert not parse_relator_expr("x1*x2").variables()
+    assert parse_relator_expr("x1^beta").variables() == ("beta",)
 
 
 def test_variables_collected_in_order():

@@ -79,8 +79,6 @@ def test_symmetry_rows_verbatim():
 def test_example_tables_sources_and_kinds():
     concrete = {t: sum(1 for ex in load_examples(t) if ex.is_concrete) for t in EXAMPLE_TABLES}
     assert concrete == {5: 20, 6: 20, 7: 0, 8: 0, 9: 0, 10: 0}
-    assert load_examples(7)[0].source_table == 2
-    assert load_examples(9)[0].source_table == 3
     vars_by_table = {t: {v for ex in load_examples(t) for v in ex.variables()} for t in EXAMPLE_TABLES}
     assert vars_by_table[7] == {"gamma"} and vars_by_table[8] == {"gamma"}
     assert vars_by_table[9] == {"beta"} and vars_by_table[10] == {"epsilon"}

@@ -14,7 +14,8 @@ from artinhexa.triviality import (
     simplify,
     smith_invariants,
 )
-from artinhexa.words import Word, concat, conjugate, invert, parse_word, power, reduce_word
+from artinhexa.words import Word, concat, invert, parse_word, power, reduce_word
+from oracles import conjugate
 
 
 def pres(*texts, rank=3):

@@ -16,12 +16,12 @@ from artinhexa.words import (
     _join_cancellation,
     _least_offset,
     concat,
-    conjugate,
     cyclic_reduce,
     invert,
     power,
     reduce_word,
 )
+from oracles import conjugate
 
 words = st.lists(
     st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=12
