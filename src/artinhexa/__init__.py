@@ -10,15 +10,7 @@ from .artin import (
     verify_artin,
 )
 from .braids import BraidClass, PureBraid, classify
-from .freeprod import (
-    FPWord,
-    fp_concat,
-    fp_cyclic_reduce,
-    fp_invert,
-    fp_is_even_power_form,
-    rho,
-    serialize_fp_word,
-)
+from .freeprod import FPWord, fp_concat, fp_invert, rho, serialize_fp_word
 from .hexa import (
     HexFilling,
     HexSymmetry,

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .words import cyclic_reduce, parse_int, reduce_word
+from .words import _clip, cyclic_reduce, parse_int, reduce_word
 
 HYPERBOLIC = "Hyperbolic"
 ESSENTIAL_TORUS = "EssentialTorus"
@@ -111,11 +111,11 @@ def parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
     for part in stripped.split(";"):
         pieces = part.split(",")
         if len(pieces) != 2:
-            raise BraidError(f"bad block {part!r}; expected e,f")
+            raise BraidError(f"bad block {_clip(part)}; expected e,f")
         try:
             blocks.append((parse_int(pieces[0]), parse_int(pieces[1])))
         except ValueError:
-            raise BraidError(f"bad block {part!r}; expected integers") from None
+            raise BraidError(f"bad block {_clip(part)}; expected integers") from None
     return tuple(blocks)
 
 
@@ -139,7 +139,7 @@ def parse_braid_word(text: str) -> tuple[int, ...]:
         token = chunk.strip()
         m = _BRAID_SYL_RE.match(token)
         if not m:
-            raise BraidError(f"expected s1 or s2 syllable, got {token!r}")
+            raise BraidError(f"expected s1 or s2 syllable, got {_clip(token)}")
         gen = parse_int(m.group(1))
         try:
             exp = parse_int(m.group(2) or "1")

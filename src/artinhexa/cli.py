@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from typing import Iterable
 
@@ -27,7 +29,7 @@ def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
     try:
         values = tuple(words.parse_int(v) for v in text.split(","))
     except ValueError:
-        raise DomainError(f"{what}: expected comma-separated integers, got {text!r}")
+        raise DomainError(f"{what}: expected comma-separated integers, got {words._clip(text)}")
     if len(values) != count:
         raise DomainError(f"{what}: expected {count} integers, got {len(values)}")
     return values
@@ -38,7 +40,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = text.split("..")
         return words.parse_int(lo), words.parse_int(hi)
     except ValueError:
-        raise DomainError(f"bad range {text!r}; expected LO..HI")
+        raise DomainError(f"bad range {words._clip(text)}; expected LO..HI")
 
 
 def _load_presentation(path: str) -> artin.Presentation:
@@ -65,12 +67,20 @@ def _presentation_text(pres: artin.Presentation) -> str:
 
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write the chunks as they come; the file is opened only now, so an
-    input error raised before this creates no file."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-    else:
+    input error raised before this creates no file, and one raised while
+    the chunks are made removes the partial file (a device or a link to a
+    file is left in place)."""
+    if not out_path:
         sys.stdout.writelines(chunks)
+        return
+    with open(out_path, "w", encoding="utf-8") as fh:
+        try:
+            fh.writelines(chunks)
+        except BaseException:
+            fh.close()
+            if stat.S_ISREG(os.lstat(out_path).st_mode):
+                os.remove(out_path)
+            raise
 
 
 def _cmd_gen_presentation(args) -> int:
@@ -156,7 +166,7 @@ def _cmd_parse_cell(args) -> int:
         try:
             assignment = {name.strip(): words.parse_int(raw)}
         except ValueError:
-            raise DomainError(f"bad --assign {args.assign!r}; expected var=int")
+            raise DomainError(f"bad --assign {words._clip(args.assign)}; expected var=int")
         print("values " + ",".join(str(v) for v in cell.values(assignment)))
     elif cell.var is None:
         print("values " + ",".join(str(v) for v in cell.values({})))

@@ -1,9 +1,8 @@
-"""Normal forms and conjugacy in the free product Z2<D> * Z3<y>.
+"""Normal forms in the free product Z2<D> * Z3<y>.
 
 Elements are alternating sequences of syllables from the two factors.  A
 syllable is encoded as a small int: ``0`` for the involution D, ``1`` for y,
-``2`` for y^2.  The encoding doubles as the canonical syllable order
-D < y < y^2 used for cyclic rotation.
+``2`` for y^2.
 
 The braid group B3 maps onto this group by ``sigma1 -> y^2*D`` and
 ``sigma2 -> D*y^2`` (the quotient killing the center); :func:`rho` computes
@@ -14,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
-
-from .words import _least_offset
 
 D_SYL = 0
 Y_SYL = 1
@@ -105,17 +102,6 @@ def fp_power(w: FPWord, k: int) -> FPWord:
     return fp_concat(*([w] * k)) if k else FP_IDENTITY
 
 
-def fp_cyclic_reduce(w: FPWord) -> FPWord:
-    """Cyclic normal form: merge wrap-around same-factor syllables, then
-    rotate to the canonical (least) representative."""
-    syls = w.syllables
-    while len(syls) >= 2 and (syls[0] == D_SYL) == (syls[-1] == D_SYL):
-        merged = 0 if syls[0] == D_SYL else (syls[0] + syls[-1]) % 3  # D*D = 1
-        syls = (merged,) + syls[1:-1] if merged else syls[1:-1]
-    offset = _least_offset(syls)
-    return FPWord(syls[offset:] + syls[:offset])
-
-
 # images of sigma1, sigma2 and their inverses
 _RHO = {
     1: (Y2_SYL, D_SYL),   # y^2*D
@@ -141,35 +127,6 @@ def rho(braid_letters: Iterable[int]) -> FPWord:
         for syl in image:
             _push(stack, syl)
     return FPWord(tuple(stack))
-
-
-@dataclass(frozen=True, slots=True)
-class EvenPowerForm:
-    """Witness that a cyclic form is ``(y^2*D)^(2k)`` or ``(D*y)^(2k)``."""
-
-    k: int
-    base: FPWord
-
-    def __str__(self) -> str:
-        return f"({serialize_fp_word(self.base)})^{2 * self.k}"
-
-
-def fp_is_even_power_form(w: FPWord) -> EvenPowerForm | None:
-    """Detect whether the cyclic normal form of ``w`` is an even power
-    ``(y^2*D)^(2k)`` or ``(D*y)^(2k)`` with ``k >= 1``; returns the witness
-    or None."""
-    syls = fp_cyclic_reduce(w).syllables
-    n = len(syls)
-    if n < 4 or n % 4:
-        return None
-    # canonical rotation of an alternating cycle starts with D
-    if any(s != D_SYL for s in syls[0::2]):
-        return None
-    ys = set(syls[1::2])
-    if len(ys) != 1:
-        return None
-    base = FPWord((Y2_SYL, D_SYL)) if ys == {Y2_SYL} else FPWord((D_SYL, Y_SYL))
-    return EvenPowerForm(n // 4, base)
 
 
 def serialize_fp_word(w: FPWord) -> str:

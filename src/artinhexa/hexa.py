@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .braids import PureBraid
-from .words import parse_int
+from .words import _clip, parse_int
 
 SLOTS = ("alpha", "beta", "gamma", "delta", "epsilon", "eta")
 _SLOT_INDEX = {name: i for i, name in enumerate(SLOTS)}
@@ -271,10 +271,10 @@ def parse_cell(text: str) -> LinearCell:
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if not m:
-            raise CellSyntaxError(f"bad cell {original!r} near {s[pos:]!r}")
+            raise CellSyntaxError(f"bad cell {_clip(original)} near {_clip(s[pos:])}")
         sign_tok, term = m.groups()
         if sign_tok is None and not first:
-            raise CellSyntaxError(f"missing +/- between terms in {original!r}")
+            raise CellSyntaxError(f"missing +/- between terms in {_clip(original)}")
         sign = -1 if sign_tok == "-" else 1
         if term.isdigit():
             try:
@@ -283,17 +283,17 @@ def parse_cell(text: str) -> LinearCell:
                 raise CellSyntaxError("integer with too many digits in cell") from None
             if pm and first:
                 if sign_tok is not None:
-                    raise CellSyntaxError(f"± must prefix an unsigned term in {original!r}")
+                    raise CellSyntaxError(f"± must prefix an unsigned term in {_clip(original)}")
                 c0 = value
             else:
                 c0 += sign * value
         else:
             if var is not None:
-                raise CellSyntaxError(f"more than one variable in {original!r}")
+                raise CellSyntaxError(f"more than one variable in {_clip(original)}")
             if term not in SLOTS:
-                raise CellSyntaxError(f"unknown variable {term!r} in {original!r}")
+                raise CellSyntaxError(f"unknown variable {_clip(term)} in {_clip(original)}")
             if pm and first:
-                raise CellSyntaxError(f"± must prefix a constant in {original!r}")
+                raise CellSyntaxError(f"± must prefix a constant in {_clip(original)}")
             var = term
             c1 = sign
         first = False
@@ -301,9 +301,9 @@ def parse_cell(text: str) -> LinearCell:
         while pos < len(s) and s[pos].isspace():
             pos += 1
     if first:
-        raise CellSyntaxError(f"empty cell {original!r}")
+        raise CellSyntaxError(f"empty cell {_clip(original)}")
     if pm and c0 <= 0:
-        raise CellSyntaxError(f"± needs a positive constant part in {original!r}")
+        raise CellSyntaxError(f"± needs a positive constant part in {_clip(original)}")
     return LinearCell(pm=pm, c0=c0, c1=c1, var=var)
 
 

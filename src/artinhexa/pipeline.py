@@ -199,11 +199,15 @@ def _rows(tasks, param_range, jobs, budget) -> Iterator[ReportRow]:
 
 def _example_instances(example: ExampleRow, param_range: tuple[int, int]):
     """Concrete relator triples of one printed example row; parametric rows
-    are expanded over the same grid as their source table."""
-    variables = example.variables()
-    for assignment in assignments_for(variables, param_range):
+    are expanded over the same grid as their source table.  A relator with
+    no variable is serialized once for the row."""
+    fixed = [None if r.variables() else serialize_word(r.instantiate()) for r in example.relators]
+    for assignment in assignments_for(example.variables(), param_range):
         env = dict(assignment)
-        triple = tuple(serialize_word(r.instantiate(env)) for r in example.relators)
+        triple = tuple(
+            text if text is not None else serialize_word(r.instantiate(env))
+            for r, text in zip(example.relators, fixed)
+        )
         yield assignment, triple
 
 

@@ -9,18 +9,26 @@ Grammar::
     EXP    := SIGNED-INT | ["-"] VAR | "(" LINEAR ")"
 
 where LINEAR is a linear form such as ``gamma-1`` or ``-beta-1`` sharing the
-table-cell syntax (without the leading ±).  Instantiating an expression at a
-variable assignment yields a reduced :class:`~artinhexa.words.Word`.
+table-cell syntax (without the leading ±).  The text ``1`` is the empty
+expression.
+
+The parser reads the text as a sequence of tokens, each one match of a
+single regular expression: ``x`` with its digits, ``^`` with its whole
+exponent, ``(``, ``)`` or ``*``.  Whitespace may come before any token and
+between ``^`` and its exponent, but not inside a generator or a bare
+exponent (``x 1`` and ``x1^- 2`` are refused).  Instantiating an expression
+at a variable assignment yields a reduced :class:`~artinhexa.words.Word`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Union
 
 from .hexa import HexError, LinearCell, parse_cell
-from .words import Word, concat, generator, parse_int, power
+from .words import Syllable, Word, _clip, _reduce_syllables, _word, parse_int
 
 
 class RelatorExprError(ValueError):
@@ -55,111 +63,98 @@ class RelatorExpr:
         return tuple(seen)
 
     def instantiate(self, assignment: Mapping[str, int] | None = None) -> Word:
-        assignment = assignment or {}
-
-        def build(factors) -> Word:
-            parts = []
-            for f in factors:
-                base = generator(f.base) if isinstance(f.base, int) else build(f.base)
-                (exp,) = f.exp.values(assignment)
-                parts.append(power(base, exp))
-            return concat(*parts)
-
-        return build(self.factors)
+        """The word at ``assignment``: the factors are spelled out into one
+        syllable list, reduced once.  Free reduction is confluent, so this
+        is the reduced product of the factors' powers."""
+        return _word(_reduce_syllables(_spell(self.factors, assignment or {})))
 
     def __str__(self) -> str:
         return self.text
 
 
-_GEN_RE = re.compile(r"x(\d+)", re.ASCII)
-# a bare signed integer or variable, or a parenthesised cell without parens
-_EXP_RE = re.compile(r"-?(?:\d+|[a-z]+)|\(([^)]*)\)", re.ASCII)
+def _spell(factors: tuple[Factor, ...], assignment: Mapping[str, int]) -> list[Syllable]:
+    """The unreduced syllables of ``factors``: a group raised to ``k``
+    contributes its syllables ``|k|`` times, inverted when ``k < 0``."""
+    out: list[Syllable] = []
+    for f in factors:
+        if isinstance(f.base, int):
+            (k,) = f.exp.values(assignment)
+            out.append((f.base, k))
+            continue
+        inner = _spell(f.base, assignment)
+        (k,) = f.exp.values(assignment)
+        if k < 0:
+            inner, k = [(gen, -exp) for gen, exp in reversed(inner)], -k
+        out += inner * k
+    return out
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise RelatorExprError(
-                f"expected {ch!r} at position {self.pos} in {self.text!r}"
-            )
-        self.pos += 1
-
-    def match_re(self, pattern: re.Pattern) -> re.Match | None:
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-        return m
+# optional whitespace, then one token: a generator, a caret with its
+# exponent (a bare signed integer or variable, or a parenthesised cell
+# taken without its parentheses), "(", ")" or "*"; the token's kind is
+# the number of its group
+_TOKEN_RE = re.compile(
+    r"\s*(?:x([0-9]+)|\^\s*(?:(-?(?:[0-9]+|[a-z]+))|\(([^)]*)\))|(\()|(\))|(\*))"
+)
+_GEN, _BARE, _PAREN, _OPEN, _CLOSE, _TIMES = range(1, 7)
+# the token kinds allowed after each kind, and at the start (0)
+_ITEM = frozenset((_GEN, _OPEN))
+_JOIN = frozenset((_CLOSE, _TIMES))
+_NEXT = {
+    0: _ITEM, _OPEN: _ITEM, _TIMES: _ITEM,
+    _BARE: _JOIN, _PAREN: _JOIN,
+    _GEN: _JOIN | {_BARE, _PAREN}, _CLOSE: _JOIN | {_BARE, _PAREN},
+}
 
 
-def _parse_exp(sc: _Scanner) -> LinearCell:
-    m = sc.match_re(_EXP_RE)
-    if not m:
-        raise RelatorExprError(f"expected exponent at position {sc.pos} in {sc.text!r}")
-    text = m.group(0) if m.group(1) is None else m.group(1)
+@lru_cache(maxsize=1024)
+def _gen_factor(digits: str) -> Factor:
+    try:
+        index = parse_int(digits)
+    except ValueError:
+        raise RelatorExprError("too many digits in a generator index") from None
+    if index < 1:
+        raise RelatorExprError(f"generator index {index} out of range")
+    return Factor(index)
+
+
+@lru_cache(maxsize=1024)
+def _exp_cell(text: str) -> LinearCell:
     try:
         cell = parse_cell(text)
     except HexError as exc:
         raise RelatorExprError(str(exc)) from exc
     if cell.pm:
-        raise RelatorExprError(f"± not allowed in exponent {text!r}")
+        raise RelatorExprError(f"± not allowed in exponent {_clip(text)}")
     return cell
 
 
-def _parse_factor(sc: _Scanner) -> Factor:
-    if sc.peek() == "(":
-        sc.expect("(")
-        inner = _parse_factors(sc)
-        sc.expect(")")
-        base: Union[int, tuple[Factor, ...]] = inner
-    else:
-        m = sc.match_re(_GEN_RE)
-        if not m:
-            raise RelatorExprError(
-                f"expected generator or group at position {sc.pos} in {sc.text!r}"
-            )
-        try:
-            base = parse_int(m.group(1))
-        except ValueError:
-            raise RelatorExprError(f"too many digits at position {m.start()} in a generator index") from None
-        if base < 1:
-            raise RelatorExprError(f"generator index {base} out of range")
-    exp = _CONST_ONE
-    if sc.peek() == "^":
-        sc.expect("^")
-        exp = _parse_exp(sc)
-    return Factor(base, exp)
-
-
-def _parse_factors(sc: _Scanner) -> tuple[Factor, ...]:
-    factors = [_parse_factor(sc)]
-    while sc.peek() == "*":
-        sc.expect("*")
-        factors.append(_parse_factor(sc))
-    return tuple(factors)
+def _error(what: str, pos: int, text: str) -> RelatorExprError:
+    return RelatorExprError(f"{what} at position {pos} in {_clip(text)}")
 
 
 def parse_relator_expr(text: str) -> RelatorExpr:
     stripped = text.strip()
     if stripped == "1":
         return RelatorExpr((), stripped)
-    sc = _Scanner(stripped)
-    factors = _parse_factors(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise RelatorExprError(
-            f"trailing input at position {sc.pos} in {sc.text!r}"
-        )
-    return RelatorExpr(factors, stripped)
+    groups: list[list[Factor]] = [[]]  # the factors of the text and of each open group
+    kind = pos = 0
+    while m := _TOKEN_RE.match(stripped, pos):
+        allowed, kind = _NEXT[kind], m.lastindex
+        if kind not in allowed or (kind == _CLOSE and len(groups) == 1):
+            raise _error(f"unexpected {_clip(m[0].lstrip())}", pos, stripped)
+        if kind == _GEN:
+            groups[-1].append(_gen_factor(m[_GEN]))
+        elif kind == _OPEN:
+            groups.append([])
+        elif kind == _CLOSE:
+            inner = tuple(groups.pop())
+            groups[-1].append(Factor(inner))
+        elif kind != _TIMES:
+            groups[-1][-1] = Factor(groups[-1][-1].base, _exp_cell(m[kind]))
+        pos = m.end()
+    if pos != len(stripped):
+        raise _error("unexpected input", pos, stripped)
+    if _TIMES not in _NEXT[kind] or len(groups) > 1:
+        raise _error("unexpected end", pos, stripped)
+    return RelatorExpr(tuple(groups[0]), stripped)

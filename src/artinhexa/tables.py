@@ -16,7 +16,7 @@ from importlib.resources import files
 
 from .hexa import SLOTS, HexError, HexSymmetry, ParamRow, parse_cell
 from .relexpr import RelatorExpr, parse_relator_expr
-from .words import parse_int
+from .words import _clip, parse_int
 
 DATA_ENV = "ARTINHEXA_DATA"
 
@@ -64,7 +64,7 @@ def _read(
         try:
             rows.append((parse_int(cells[0]), cells[1:]))
         except ValueError:
-            raise TableError(f"{name}: bad row number {cells[0]!r}") from None
+            raise TableError(f"{name}: bad row number {_clip(cells[0])}") from None
     return order, rows
 
 

@@ -28,6 +28,13 @@ class WordSyntaxError(WordError):
         self.position = position
 
 
+def _clip(text: str, limit: int = 40) -> str:
+    """``repr(text)`` cut after ``limit`` characters, for error messages
+    that echo their input."""
+    shown = repr(text[: limit + 1])
+    return shown if len(shown) <= limit + 2 else shown[: limit + 1] + "..."
+
+
 def _reduce_syllables(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
     stack: list[Syllable] = []
     for gen, exp in pairs:
@@ -215,9 +222,12 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 def parse_int(text: str) -> int:
     """``int(text)`` on a sign, ASCII digits and spaces only; anything else,
     or more digits than ``int`` reads, raises ``ValueError``."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"invalid integer {text!r}")
-    return int(text)
+    try:
+        if text.isascii() and "_" not in text:
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"invalid integer {_clip(text)}")
 
 
 _SYLLABLE_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z", re.ASCII)
@@ -238,7 +248,7 @@ def parse_word(text: str) -> Word:
         at = pos + chunk.index(token) if token else pos
         m = _SYLLABLE_RE.match(token)
         if not m:
-            raise WordSyntaxError(f"expected syllable, got {token!r}", at)
+            raise WordSyntaxError(f"expected syllable, got {_clip(token)}", at)
         try:
             gen = parse_int(m.group(1))
             exp = parse_int(m.group(2) or "1")

@@ -1,16 +1,28 @@
 """Reference implementations kept as test oracles.
 
 The program does not need these: ``classify`` reads a braid's closure from
-the cyclic canonical form of its block word, and a conjugacy class is
-decided by comparing canonical forms.  The tests check the program against
-these plainer constructions: block merging, the literal letter expansion of
-a braid, the Z2 * Z3 torus criterion and right conjugation.  Not collected
-by pytest (no ``test_`` prefix); test modules import it.
+the cyclic canonical form of its block word, a conjugacy class is decided
+by comparing canonical forms, and the relator-expression parser reads
+tokens and spells an expression out in one reduction pass.  The tests check
+the program against these plainer constructions: block merging, the
+literal letter expansion of a braid, the Z2 * Z3 torus criterion, right
+conjugation, and a character-by-character recursive-descent parser whose
+instantiation multiplies reduced powers.  Not collected by pytest (no
+``test_`` prefix); test modules import it.
 """
 
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from typing import Union
+
 from artinhexa.braids import BraidError, PureBraid
-from artinhexa.freeprod import EvenPowerForm, FPWord, fp_concat, fp_is_even_power_form, fp_power, rho
-from artinhexa.words import Word, concat, invert
+from artinhexa.freeprod import D_SYL, Y2_SYL, Y_SYL, FPWord, fp_concat, fp_power, rho, serialize_fp_word
+from artinhexa.hexa import HexError, LinearCell, parse_cell
+from artinhexa.pipeline import assignments_for
+from artinhexa.relexpr import Factor, RelatorExpr, RelatorExprError
+from artinhexa.words import Word, _least_offset, concat, generator, invert, parse_int, power, serialize_word
 
 
 def conjugate(w: Word, g: Word) -> Word:
@@ -50,6 +62,46 @@ def to_braid_word(b: PureBraid) -> tuple[int, ...]:
     return tuple(letters)
 
 
+def fp_cyclic_reduce(w: FPWord) -> FPWord:
+    """Cyclic normal form: merge wrap-around same-factor syllables, then
+    rotate to the canonical (least) representative."""
+    syls = w.syllables
+    while len(syls) >= 2 and (syls[0] == D_SYL) == (syls[-1] == D_SYL):
+        merged = 0 if syls[0] == D_SYL else (syls[0] + syls[-1]) % 3  # D*D = 1
+        syls = (merged,) + syls[1:-1] if merged else syls[1:-1]
+    offset = _least_offset(syls)
+    return FPWord(syls[offset:] + syls[:offset])
+
+
+@dataclass(frozen=True, slots=True)
+class EvenPowerForm:
+    """Witness that a cyclic form is ``(y^2*D)^(2k)`` or ``(D*y)^(2k)``."""
+
+    k: int
+    base: FPWord
+
+    def __str__(self) -> str:
+        return f"({serialize_fp_word(self.base)})^{2 * self.k}"
+
+
+def fp_is_even_power_form(w: FPWord) -> EvenPowerForm | None:
+    """Detect whether the cyclic normal form of ``w`` is an even power
+    ``(y^2*D)^(2k)`` or ``(D*y)^(2k)`` with ``k >= 1``; returns the witness
+    or None."""
+    syls = fp_cyclic_reduce(w).syllables
+    n = len(syls)
+    if n < 4 or n % 4:
+        return None
+    # canonical rotation of an alternating cycle starts with D
+    if any(s != D_SYL for s in syls[0::2]):
+        return None
+    ys = set(syls[1::2])
+    if len(ys) != 1:
+        return None
+    base = FPWord((Y2_SYL, D_SYL)) if ys == {Y2_SYL} else FPWord((D_SYL, Y_SYL))
+    return EvenPowerForm(n // 4, base)
+
+
 _S1 = rho([1])
 _S2 = rho([2])
 
@@ -69,3 +121,115 @@ def rho_torus_witness(b: PureBraid) -> EvenPowerForm | None:
         parts.append(fp_power(_S1, 2 * e))
         parts.append(fp_power(_S2, 2 * f))
     return fp_is_even_power_form(fp_concat(*parts))
+
+
+# The relator-expression parser as first written: a scanner that skips
+# whitespace before every look-ahead, and recursive descent over it.
+_GEN_RE = re.compile(r"x(\d+)", re.ASCII)
+_EXP_RE = re.compile(r"-?(?:\d+|[a-z]+)|\(([^)]*)\)", re.ASCII)
+_ONE = LinearCell(c0=1)
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            raise RelatorExprError(f"expected {ch!r} at position {self.pos}")
+        self.pos += 1
+
+    def match_re(self, pattern: re.Pattern) -> re.Match | None:
+        self.skip_ws()
+        m = pattern.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+        return m
+
+
+def _parse_exp(sc: _Scanner) -> LinearCell:
+    m = sc.match_re(_EXP_RE)
+    if not m:
+        raise RelatorExprError(f"expected exponent at position {sc.pos}")
+    text = m.group(0) if m.group(1) is None else m.group(1)
+    try:
+        cell = parse_cell(text)
+    except HexError as exc:
+        raise RelatorExprError(str(exc)) from exc
+    if cell.pm:
+        raise RelatorExprError("± not allowed in an exponent")
+    return cell
+
+
+def _parse_factor(sc: _Scanner) -> Factor:
+    if sc.peek() == "(":
+        sc.expect("(")
+        base: Union[int, tuple[Factor, ...]] = _parse_factors(sc)
+        sc.expect(")")
+    else:
+        m = sc.match_re(_GEN_RE)
+        if not m:
+            raise RelatorExprError(f"expected generator or group at position {sc.pos}")
+        try:
+            base = parse_int(m.group(1))
+        except ValueError:
+            raise RelatorExprError("too many digits in a generator index") from None
+        if base < 1:
+            raise RelatorExprError(f"generator index {base} out of range")
+    exp = _ONE
+    if sc.peek() == "^":
+        sc.expect("^")
+        exp = _parse_exp(sc)
+    return Factor(base, exp)
+
+
+def _parse_factors(sc: _Scanner) -> tuple[Factor, ...]:
+    factors = [_parse_factor(sc)]
+    while sc.peek() == "*":
+        sc.expect("*")
+        factors.append(_parse_factor(sc))
+    return tuple(factors)
+
+
+def parse_relator_expr(text: str) -> RelatorExpr:
+    """The oracle for ``relexpr.parse_relator_expr``."""
+    stripped = text.strip()
+    if stripped == "1":
+        return RelatorExpr((), stripped)
+    sc = _Scanner(stripped)
+    factors = _parse_factors(sc)
+    sc.skip_ws()
+    if sc.pos != len(sc.text):
+        raise RelatorExprError(f"trailing input at position {sc.pos}")
+    return RelatorExpr(factors, stripped)
+
+
+def instantiate(factors: tuple[Factor, ...], assignment) -> Word:
+    """The oracle for ``RelatorExpr.instantiate``: every group is reduced,
+    then raised to its exponent with ``power``, and the parts are
+    multiplied with ``concat``."""
+    parts = []
+    for f in factors:
+        base = generator(f.base) if isinstance(f.base, int) else instantiate(f.base, assignment)
+        (exp,) = f.exp.values(assignment)
+        parts.append(power(base, exp))
+    return concat(*parts)
+
+
+def example_instances(example, param_range):
+    """The oracle for ``pipeline._example_instances``: every relator is
+    parsed again from its text and instantiated at every assignment."""
+    relators = [parse_relator_expr(r.text) for r in example.relators]
+    variables = example.variables()
+    for assignment in assignments_for(variables, param_range):
+        env = dict(assignment)
+        yield assignment, tuple(serialize_word(instantiate(r.factors, env)) for r in relators)

@@ -31,7 +31,6 @@ from artinhexa.freeprod import (
     Y2_SYL,
     Y_SYL,
     fp_concat,
-    fp_is_even_power_form,
     fp_power,
     rho,
     serialize_fp_word,
@@ -41,6 +40,7 @@ from artinhexa.pipeline import report_tsv, run_tables
 from artinhexa.tables import load_examples, load_symmetries
 from artinhexa.triviality import replay, simplify
 from artinhexa.words import abelianize, parse_word
+from oracles import fp_is_even_power_form
 
 
 def announce(number: int, ok: bool, detail: str = "") -> None:

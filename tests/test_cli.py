@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import artinhexa
-from artinhexa import pipeline, triviality
+from artinhexa import artin, pipeline, triviality
 from artinhexa.cli import main
 
 
@@ -202,6 +202,17 @@ def test_report_input_errors_create_no_file(tmp_path, capsys, command, argv):
     out_path = tmp_path / "report.tsv"
     code, _, err = run(capsys, command, *argv, "--out", str(out_path))
     assert code == 1 and err.startswith("error:")
+    assert not out_path.exists()
+
+
+def test_refusal_while_writing_removes_the_partial_file(tmp_path, monkeypatch, capsys):
+    # a filling refused part-way through the stream raises after the header
+    # is written; the run still exits 1 and leaves no report behind
+    monkeypatch.setattr(artin, "MAX_PRESENTATION_SYLLABLES", 40)
+    out_path = tmp_path / "F"
+    argv = ("run-tables", "--tables", "1", "--symmetries", "id", "--param-range=-1..1")
+    code, _, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 1 and "above the limit" in err
     assert not out_path.exists()
 
 

@@ -11,13 +11,12 @@ from artinhexa.freeprod import (
     Y,
     Y2,
     fp_concat,
-    fp_cyclic_reduce,
     fp_invert,
-    fp_is_even_power_form,
     fp_power,
     rho,
     serialize_fp_word,
 )
+from oracles import fp_cyclic_reduce, fp_is_even_power_form
 
 Y2D = Y2 * D
 DY2 = D * Y2

@@ -105,3 +105,27 @@ def test_load_presentation_accepts_or_raises_domain_or_value_error(presentation_
     except (DomainError, ValueError):
         return
     assert isinstance(pres, Presentation)
+
+
+BAD_TOKEN = "x" + "?" * 4999
+
+
+@pytest.mark.parametrize(
+    "parse, error, text",
+    [
+        (parse_blocks, BraidError, "1," + BAD_TOKEN),
+        (parse_braid_word, BraidError, BAD_TOKEN),
+        (parse_cell, CellSyntaxError, BAD_TOKEN),
+        (parse_cell, CellSyntaxError, "gamma+" + "q" * 5000),
+        (parse_word, WordSyntaxError, BAD_TOKEN),
+        (parse_relator_expr, RelatorExprError, BAD_TOKEN),
+        (parse_relator_expr, RelatorExprError, "x1^(" + BAD_TOKEN + ")"),
+        (parse_relator_expr, RelatorExprError, "x1^" + "q" * 5000),
+    ],
+    ids=["blocks", "braid-word", "cell", "cell-variable", "word", "relexpr",
+         "relexpr-cell", "relexpr-variable"],
+)
+def test_errors_echo_a_bounded_part_of_their_input(parse, error, text):
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert len(str(exc.value)) < 200

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import oracles
 from artinhexa import pipeline, triviality
 from artinhexa.artin import gen_from_hex, verify_artin
 from artinhexa.braids import classify
@@ -230,6 +231,20 @@ def test_example_index_contains_known_triples():
     index = example_index((-1, 1))
     assert index[("x1^-1", "x2^-1*x3^-1*x2^-1", "x3^-1*x2^-1")] == "5:1"
     assert index[("x1^-1", "x2^-1", "x3^-1")] == "5:14"
+
+
+@pytest.mark.parametrize("param_range", [(0, 0), (-1, 1), (-8, 2), (-5, 5)])
+def test_example_index_equals_the_oracle(monkeypatch, param_range):
+    items = list(example_index(param_range).items())
+    monkeypatch.setattr(pipeline, "_example_instances", oracles.example_instances)
+    assert items == list(example_index(param_range).items())
+
+
+def test_match_examples_equals_the_oracle(monkeypatch):
+    tasks = list(build_tasks(param_range=(-1, 1), symmetries="all"))
+    matches = match_examples(tasks, (-1, 1))
+    monkeypatch.setattr(pipeline, "_example_instances", oracles.example_instances)
+    assert matches == match_examples(tasks, (-1, 1))
 
 
 def test_match_examples_finds_table5_and_flags_corruption(small_report):

@@ -1,6 +1,8 @@
 import pytest
 
+import oracles
 from artinhexa.relexpr import RelatorExprError, parse_relator_expr
+from artinhexa.tables import EXAMPLE_TABLES, _read
 from artinhexa.words import parse_word, serialize_word
 
 
@@ -67,3 +69,13 @@ def test_parse_errors():
 
 def test_whitespace_tolerated():
     assert inst(" x1 * ( x2 * x3 ) ^ 2 ") == "x1*x2*x3*x2*x3"
+
+
+def test_bundled_expressions_parse_as_the_oracle_parses():
+    count = 0
+    for table in EXAMPLE_TABLES:
+        for _, cells in _read(f"examples{table}.tsv", 3, header=False)[1]:
+            for text in cells:
+                assert parse_relator_expr(text) == oracles.parse_relator_expr(text)
+                count += 1
+    assert count == 360
