@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 domain error (bad input data, unsolvable request),
-2 usage error.
+Exit codes: 0 success, 1 domain error (bad input data, an unsolvable
+request, a file that cannot be read or written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -68,19 +68,19 @@ def _presentation_text(pres: artin.Presentation) -> str:
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write the chunks as they come; the file is opened only now, so an
     input error raised before this creates no file, and one raised while
-    the chunks are made removes the partial file (a device or a link to a
-    file is left in place)."""
+    the chunks are made or written removes the partial file (a device or a
+    link to a file is left in place)."""
     if not out_path:
         sys.stdout.writelines(chunks)
         return
-    with open(out_path, "w", encoding="utf-8") as fh:
-        try:
+    fh = open(out_path, "w", encoding="utf-8")
+    try:
+        with fh:
             fh.writelines(chunks)
-        except BaseException:
-            fh.close()
-            if stat.S_ISREG(os.lstat(out_path).st_mode):
-                os.remove(out_path)
-            raise
+    except BaseException:
+        if stat.S_ISREG(os.lstat(out_path).st_mode):
+            os.remove(out_path)
+        raise
 
 
 def _cmd_gen_presentation(args) -> int:
@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -252,59 +252,42 @@ class LinearCell:
         return (self.c0 + base,)
 
 
-_TERM_RE = re.compile(r"([+-])?\s*(\d+|[a-z]+)", re.ASCII)
+# A cell whole: any whitespace after "±" and before a "+"/"-" between
+# terms, only ASCII whitespace between a sign and its term.
+_CELL_RE = re.compile(
+    r"(±\s*)?([+-]?)[ \t\n\r\f\v]*([0-9]+|[a-z]+)((?:\s*[+-][ \t\n\r\f\v]*(?:[0-9]+|[a-z]+))*)"
+)
+_TERM_RE = re.compile(r"([+-])\s*([0-9]+|[a-z]+)")
 
 
 def parse_cell(text: str) -> LinearCell:
     """Parse ``CELL := ["±"] TERM (("+"|"-") TERM)*`` with
     ``TERM := INT | VAR`` and at most one variable per cell."""
     s = text.strip()
-    original = s
-    pm = s.startswith("±")
-    if pm:
-        s = s[1:].lstrip()
-    pos = 0
-    c0 = 0
-    c1 = 0
+    m = _CELL_RE.fullmatch(s)
+    if not m:
+        raise CellSyntaxError(f"bad cell {_clip(s)}")
+    pm, sign, term, rest = m.groups()
+    if pm and (sign or not term.isdigit()):
+        raise CellSyntaxError(f"± must prefix an unsigned constant in {_clip(s)}")
+    c0 = c1 = 0
     var = None
-    first = True
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m:
-            raise CellSyntaxError(f"bad cell {_clip(original)} near {_clip(s[pos:])}")
-        sign_tok, term = m.groups()
-        if sign_tok is None and not first:
-            raise CellSyntaxError(f"missing +/- between terms in {_clip(original)}")
-        sign = -1 if sign_tok == "-" else 1
+    for sign, term in [(sign, term), *_TERM_RE.findall(rest)]:
+        k = -1 if sign == "-" else 1
         if term.isdigit():
             try:
-                value = parse_int(term)
+                c0 += k * parse_int(term)
             except ValueError:
                 raise CellSyntaxError("integer with too many digits in cell") from None
-            if pm and first:
-                if sign_tok is not None:
-                    raise CellSyntaxError(f"± must prefix an unsigned term in {_clip(original)}")
-                c0 = value
-            else:
-                c0 += sign * value
+        elif var is not None:
+            raise CellSyntaxError(f"more than one variable in {_clip(s)}")
+        elif term not in SLOTS:
+            raise CellSyntaxError(f"unknown variable {_clip(term)} in {_clip(s)}")
         else:
-            if var is not None:
-                raise CellSyntaxError(f"more than one variable in {_clip(original)}")
-            if term not in SLOTS:
-                raise CellSyntaxError(f"unknown variable {_clip(term)} in {_clip(original)}")
-            if pm and first:
-                raise CellSyntaxError(f"± must prefix a constant in {_clip(original)}")
-            var = term
-            c1 = sign
-        first = False
-        pos = m.end()
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-    if first:
-        raise CellSyntaxError(f"empty cell {_clip(original)}")
+            var, c1 = term, k
     if pm and c0 <= 0:
-        raise CellSyntaxError(f"± needs a positive constant part in {_clip(original)}")
-    return LinearCell(pm=pm, c0=c0, c1=c1, var=var)
+        raise CellSyntaxError(f"± needs a positive constant part in {_clip(s)}")
+    return LinearCell(pm=bool(pm), c0=c0, c1=c1, var=var)
 
 
 def serialize_cell(cell: LinearCell) -> str:

@@ -238,42 +238,34 @@ def match_examples(
     generated once per distinct filling; the first task with a triple is
     the one reported.  Concrete rows are matched as printed; parametric
     rows instance by instance on the shared grid.  Unmatched rows are
-    findings to report, not failures.
+    findings to report, not failures.  The tasks are read as a stream:
+    what is kept is the fillings seen and one task per example triple.
     """
-    first_task: dict[HexFilling, Task] = {}
+    examples = [
+        (table, example, list(_example_instances(example, param_range)))
+        for table in EXAMPLE_TABLES
+        for example in load_examples(table)
+    ]
+    first = dict.fromkeys(triple for *_, instances in examples for _, triple in instances)
+    seen: set[HexFilling] = set()
     for task in tasks:
-        first_task.setdefault(task.filling, task)
-    by_triple: dict[tuple[str, str, str], Task] = {}
-    for filling, task in first_task.items():
-        by_triple.setdefault(gen_from_hex(filling).serialized_relators(), task)
+        if task.filling not in seen:
+            seen.add(task.filling)
+            triple = gen_from_hex(task.filling).serialized_relators()
+            if triple in first and first[triple] is None:
+                first[triple] = task
     out = []
-    for table in EXAMPLE_TABLES:
-        for example in load_examples(table):
-            matched = 0
-            first = ""
-            total = 0
-            for assignment, triple in _example_instances(example, param_range):
-                total += 1
-                hit = by_triple.get(triple)
-                if hit is not None:
-                    matched += 1
-                    if not first:
-                        loc = f"table{hit.table} row {hit.row} sym {hit.symmetry}"
-                        if hit.branch:
-                            loc += f" branch {hit.branch}"
-                        if assignment:
-                            loc += " at " + format_assignment(assignment)
-                        first = loc
-            out.append(
-                ExampleMatch(
-                    table=table,
-                    row=example.row,
-                    concrete=example.is_concrete,
-                    instances=total,
-                    matched=matched,
-                    first_match=first,
-                )
-            )
+    for table, example, instances in examples:
+        hits = [(assignment, first[t]) for assignment, t in instances if first[t] is not None]
+        location = ""
+        if hits:
+            assignment, hit = hits[0]
+            location = f"table{hit.table} row {hit.row} sym {hit.symmetry}"
+            location += f" branch {hit.branch}" if hit.branch else ""
+            location += " at " + format_assignment(assignment) if assignment else ""
+        out.append(ExampleMatch(
+            table, example.row, example.is_concrete, len(instances), len(hits), location
+        ))
     return out
 
 

@@ -10,18 +10,18 @@ general, so no answer is forced).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .artin import Presentation
 from .words import (
-    IDENTITY,
     Word,
     _join_cancellation,
     _reduce_syllables,
     _word,
     abelianize,
-    concat,
     cyclic_reduce,
     invert,
     power,
@@ -34,72 +34,48 @@ Move = tuple
 
 def smith_invariants(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
     """Elementary divisors of an integer matrix, in divisibility order,
-    padded with zeros to ``min(len(rows), width)`` entries."""
+    padded with zeros to ``min(len(rows), width)`` entries.  A least entry
+    is the pivot until its row and column clear, then it is recorded and
+    they are deleted; each pair of recorded values ends as ``(gcd, lcm)``.
+    Cohen, *A Course in Computational Algebraic Number Theory*, 2.4.4."""
     m = [list(r) for r in rows]
     if any(len(r) != width for r in m):
         raise ValueError("ragged matrix")
-    R, C = len(m), width
     divisors: list[int] = []
-    t = 0
-    while t < R and t < C:
-        pivot = None
-        best = None
-        for i in range(t, R):
-            for j in range(t, C):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
+    while True:
+        least = 0
+        for r_index, r in enumerate(m):
+            for k, v in enumerate(r):
+                if v and (not least or abs(v) < least):
+                    least, i, j = abs(v), r_index, k
+        if not least:
             break
-        i0, j0 = pivot
-        m[t], m[i0] = m[i0], m[t]
-        for row in m:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            # clear column t, swapping up any nonzero remainder (each swap
-            # shrinks |m[t][t]|, so this terminates)
-            restart = False
-            for i in range(t + 1, R):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, C):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, C):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for i in range(t, R):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # enforce the divisibility chain before moving on
-            p = m[t][t]
-            offender = None
-            for i in range(t + 1, R):
-                for j in range(t + 1, C):
-                    if m[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(t, C):
-                m[t][j] += m[offender][j]
-        divisors.append(abs(m[t][t]))
-        t += 1
-    divisors.extend([0] * (min(R, C) - len(divisors)))
-    return tuple(divisors)
+        pivot_row = m.pop(i)  # by position: rows may be equal
+        p = pivot_row[j]
+        cleared = True
+        for r in m:
+            if r[j]:
+                q = r[j] // p
+                for k, v in enumerate(pivot_row):
+                    r[k] -= q * v
+                cleared = cleared and not r[j]
+        for k, v in enumerate(pivot_row):
+            if k != j and v:
+                q = v // p
+                for r in m:
+                    r[k] -= q * r[j]
+                pivot_row[k] -= q * p
+                cleared = cleared and not pivot_row[k]
+        if cleared:
+            divisors.append(least)
+            for r in m:
+                del r[j]
+        else:
+            m.insert(i, pivot_row)
+    for a, b in itertools.combinations(range(len(divisors)), 2):
+        x, y = divisors[a], divisors[b]
+        divisors[a], divisors[b] = math.gcd(x, y), math.lcm(x, y)
+    return tuple(divisors) + (0,) * (min(len(rows), width) - len(divisors))
 
 
 def abelian_invariants(pres: Presentation) -> tuple[int, ...]:
@@ -166,16 +142,15 @@ def _eliminate(state: _State, rel_index: int, gen: int, repl: Word) -> None:
 
 
 def _solve(relator: Word, gen: int) -> Word:
-    """Solve ``u x^s v = 1`` for ``x``; ``gen`` must occur exactly once in
-    the relator and with exponent +-1."""
-    positions = [i for i, (g, _) in enumerate(relator.syllables) if g == gen]
-    if len(positions) != 1 or abs(relator.syllables[positions[0]][1]) != 1:
+    """Solve ``u x^s v = 1`` for ``x``, which is ``(v u)^-s``; ``gen`` must
+    occur exactly once in the relator and with exponent +-1."""
+    syls = relator.syllables
+    positions = [i for i, (g, _) in enumerate(syls) if g == gen]
+    if len(positions) != 1 or abs(syls[positions[0]][1]) != 1:
         raise ValueError(f"generator {gen} is not solvable in {relator}")
     i = positions[0]
-    s = relator.syllables[i][1]
-    u = Word(relator.syllables[:i])
-    v = Word(relator.syllables[i + 1 :])
-    return power(concat(invert(u), invert(v)), s)
+    vu = _word(_reduce_syllables(syls[i + 1 :] + syls[:i]))
+    return vu if syls[i][1] == -1 else invert(vu)
 
 
 def _relator_index(state: _State, k: int) -> int:
@@ -193,16 +168,13 @@ def apply_move(state: _State, move: Move) -> None:
     kind = move[0]
     if kind == "reduce":
         state.relators = _canonical(state.relators)
-    elif kind == "kill":
+    elif kind in ("kill", "subst"):
+        # a bare relator x_gen^+-1 solves to the identity
         _, rel_index, gen = move
-        syls = state.relators[_relator_index(state, rel_index)].syllables
-        if syls not in (((gen, 1),), ((gen, -1),)):
+        relator = state.relators[_relator_index(state, rel_index)]
+        if kind == "kill" and relator.syllables not in (((gen, 1),), ((gen, -1),)):
             raise ValueError(f"relator {rel_index} is not x{gen}^+-1")
-        _eliminate(state, rel_index, gen, IDENTITY)
-    elif kind == "subst":
-        _, rel_index, gen = move
-        repl = _solve(state.relators[_relator_index(state, rel_index)], gen)
-        _eliminate(state, rel_index, gen, repl)
+        _eliminate(state, rel_index, gen, _solve(relator, gen))
     elif kind == "mult":
         _, i, j, sign, rot = move
         syls = state.relators[_relator_index(state, i)].syllables

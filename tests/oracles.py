@@ -6,9 +6,12 @@ by comparing canonical forms, and the relator-expression parser reads
 tokens and spells an expression out in one reduction pass.  The tests check
 the program against these plainer constructions: block merging, the
 literal letter expansion of a braid, the Z2 * Z3 torus criterion, right
-conjugation, and a character-by-character recursive-descent parser whose
-instantiation multiplies reduced powers.  Not collected by pytest (no
-``test_`` prefix); test modules import it.
+conjugation, a character-by-character recursive-descent parser whose
+instantiation multiplies reduced powers, and the first versions of the
+Smith form (swap, restart and offender loop), the table-cell parser (a
+term-by-term scanner) and the example matcher (every distinct filling's
+task held before matching).  Not collected by pytest (no ``test_``
+prefix); test modules import it.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+from artinhexa.artin import gen_from_hex
 from artinhexa.braids import BraidError, PureBraid
 from artinhexa.freeprod import D_SYL, Y2_SYL, Y_SYL, FPWord, fp_concat, fp_power, rho, serialize_fp_word
-from artinhexa.hexa import HexError, LinearCell, parse_cell
-from artinhexa.pipeline import assignments_for
+from artinhexa.hexa import SLOTS, CellSyntaxError, HexError, LinearCell
+from artinhexa.pipeline import ExampleMatch, _example_instances, assignments_for, format_assignment
 from artinhexa.relexpr import Factor, RelatorExpr, RelatorExprError
-from artinhexa.words import Word, _least_offset, concat, generator, invert, parse_int, power, serialize_word
+from artinhexa.tables import EXAMPLE_TABLES, load_examples
+from artinhexa.words import Word, _clip, _least_offset, concat, generator, invert, parse_int, power, serialize_word
 
 
 def conjugate(w: Word, g: Word) -> Word:
@@ -233,3 +238,160 @@ def example_instances(example, param_range):
     for assignment in assignments_for(variables, param_range):
         env = dict(assignment)
         yield assignment, tuple(serialize_word(instantiate(r.factors, env)) for r in relators)
+
+
+def smith_invariants(rows, width):
+    """The oracle for ``triviality.smith_invariants``: move a least entry
+    to the diagonal, clear its row and column, swapping up any nonzero
+    remainder and restarting, then add in a row holding an entry that the
+    pivot does not divide, until the pivot divides the rest."""
+    m = [list(r) for r in rows]
+    if any(len(r) != width for r in m):
+        raise ValueError("ragged matrix")
+    R, C = len(m), width
+    divisors: list[int] = []
+    t = 0
+    while t < R and t < C:
+        pivot = None
+        best = None
+        for i in range(t, R):
+            for j in range(t, C):
+                v = abs(m[i][j])
+                if v and (best is None or v < best):
+                    best, pivot = v, (i, j)
+        if pivot is None:
+            break
+        i0, j0 = pivot
+        m[t], m[i0] = m[i0], m[t]
+        for row in m:
+            row[t], row[j0] = row[j0], row[t]
+        while True:
+            restart = False
+            for i in range(t + 1, R):
+                if m[i][t]:
+                    q = m[i][t] // m[t][t]
+                    for j in range(t, C):
+                        m[i][j] -= q * m[t][j]
+                    if m[i][t]:
+                        m[t], m[i] = m[i], m[t]
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, C):
+                if m[t][j]:
+                    q = m[t][j] // m[t][t]
+                    for i in range(t, R):
+                        m[i][j] -= q * m[i][t]
+                    if m[t][j]:
+                        for row in m:
+                            row[t], row[j] = row[j], row[t]
+                        restart = True
+                        break
+            if restart:
+                continue
+            p = m[t][t]
+            offender = None
+            for i in range(t + 1, R):
+                for j in range(t + 1, C):
+                    if m[i][j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            for j in range(t, C):
+                m[t][j] += m[offender][j]
+        divisors.append(abs(m[t][t]))
+        t += 1
+    divisors.extend([0] * (min(R, C) - len(divisors)))
+    return tuple(divisors)
+
+
+_TERM_RE = re.compile(r"([+-])?\s*(\d+|[a-z]+)", re.ASCII)
+
+
+def parse_cell(text: str) -> LinearCell:
+    """The oracle for ``hexa.parse_cell``: one term at a time, skipping
+    any whitespace after a term; the whitespace between a sign and its term
+    is ASCII only, because the term pattern is compiled with ``re.ASCII``."""
+    s = text.strip()
+    original = s
+    pm = s.startswith("±")
+    if pm:
+        s = s[1:].lstrip()
+    pos = 0
+    c0 = 0
+    c1 = 0
+    var = None
+    first = True
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if not m:
+            raise CellSyntaxError(f"bad cell {_clip(original)} near {_clip(s[pos:])}")
+        sign_tok, term = m.groups()
+        if sign_tok is None and not first:
+            raise CellSyntaxError(f"missing +/- between terms in {_clip(original)}")
+        sign = -1 if sign_tok == "-" else 1
+        if term.isdigit():
+            try:
+                value = parse_int(term)
+            except ValueError:
+                raise CellSyntaxError("integer with too many digits in cell") from None
+            if pm and first:
+                if sign_tok is not None:
+                    raise CellSyntaxError(f"± must prefix an unsigned term in {_clip(original)}")
+                c0 = value
+            else:
+                c0 += sign * value
+        else:
+            if var is not None:
+                raise CellSyntaxError(f"more than one variable in {_clip(original)}")
+            if term not in SLOTS:
+                raise CellSyntaxError(f"unknown variable {_clip(term)} in {_clip(original)}")
+            if pm and first:
+                raise CellSyntaxError(f"± must prefix a constant in {_clip(original)}")
+            var = term
+            c1 = sign
+        first = False
+        pos = m.end()
+        while pos < len(s) and s[pos].isspace():
+            pos += 1
+    if first:
+        raise CellSyntaxError(f"empty cell {_clip(original)}")
+    if pm and c0 <= 0:
+        raise CellSyntaxError(f"± needs a positive constant part in {_clip(original)}")
+    return LinearCell(pm=pm, c0=c0, c1=c1, var=var)
+
+
+def match_examples(tasks, param_range=(-5, 5)):
+    """The oracle for ``pipeline.match_examples``: the first task of every
+    distinct filling is held, then the first of those for every relator
+    triple, before any example row is matched."""
+    first_task = {}
+    for task in tasks:
+        first_task.setdefault(task.filling, task)
+    by_triple = {}
+    for filling, task in first_task.items():
+        by_triple.setdefault(gen_from_hex(filling).serialized_relators(), task)
+    out = []
+    for table in EXAMPLE_TABLES:
+        for example in load_examples(table):
+            matched = 0
+            first = ""
+            total = 0
+            for assignment, triple in _example_instances(example, param_range):
+                total += 1
+                hit = by_triple.get(triple)
+                if hit is not None:
+                    matched += 1
+                    if not first:
+                        loc = f"table{hit.table} row {hit.row} sym {hit.symmetry}"
+                        if hit.branch:
+                            loc += f" branch {hit.branch}"
+                        if assignment:
+                            loc += " at " + format_assignment(assignment)
+                        first = loc
+            out.append(ExampleMatch(table, example.row, example.is_concrete, total, matched, first))
+    return out

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import artinhexa
-from artinhexa import artin, pipeline, triviality
+from artinhexa import artin, cli, pipeline, triviality
 from artinhexa.cli import main
 
 
@@ -213,6 +213,52 @@ def test_refusal_while_writing_removes_the_partial_file(tmp_path, monkeypatch, c
     argv = ("run-tables", "--tables", "1", "--symmetries", "id", "--param-range=-1..1")
     code, _, err = run(capsys, *argv, "--out", str(out_path))
     assert code == 1 and "above the limit" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-presentation", "--hex", "1,1,1,0,0,0"),
+        ("run-tables", "--tables", "1", "--param-range=0..0", "--symmetries", "id"),
+        ("match-examples", "--tables", "1", "--param-range=0..0", "--symmetries", "id"),
+    ],
+)
+def test_out_path_that_cannot_be_opened_is_one_error_line(tmp_path, argv):
+    out_path = tmp_path / "missing" / "x"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "artinhexa.cli", *argv, "--out", str(out_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not out_path.parent.exists()
+
+
+def test_write_error_removes_the_partial_file(tmp_path, monkeypatch, capsys):
+    # a write that fails part-way, as on a full disk, is one error line too
+    class FullDisk:
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            self.fh.write(next(iter(chunks)))
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    out_path = tmp_path / "report.tsv"
+    argv = ("run-tables", "--tables", "1", "--symmetries", "id", "--param-range=0..0")
+    code, _, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 1 and err == "error: [Errno 28] No space left on device\n"
     assert not out_path.exists()
 
 

@@ -1,14 +1,17 @@
 """Hypothesis properties of the text parsers: on any text each one returns a
 value or raises its module's documented error, and accepted input
-round-trips through the matching serializer."""
+round-trips through the matching serializer.  The table-cell parser also
+accepts and refuses what its term-by-term oracle (``tests/oracles.py``)
+does."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from artinhexa.artin import Presentation
 from artinhexa.braids import BraidError, format_blocks, parse_blocks, parse_braid_word
 from artinhexa.hexa import CellSyntaxError, parse_cell, serialize_cell
@@ -65,6 +68,49 @@ def test_parse_cell_accepts_or_raises_syntax_error(text):
     except CellSyntaxError:
         return
     assert parse_cell(serialize_cell(cell)) == cell
+
+
+# cells: well-formed but for the whitespace, of every kind around the signs
+# (the grammar takes any whitespace after "±" and between terms, only ASCII
+# whitespace between a sign and its term), and runs of cell fragments
+cell_spaces = st.sampled_from(("", " ", "\t", "\u00a0", "\u2003"))
+cell_terms = st.sampled_from(("0", "1", "3", "12", "007", "gamma", "alpha"))
+cells = st.builds(
+    lambda pm, sign, space, term, rest: pm + sign + space + term + "".join(rest),
+    st.builds("{}{}".format, st.sampled_from(("", "", "±")), cell_spaces),
+    st.sampled_from(("", "+", "-")),
+    cell_spaces,
+    cell_terms,
+    st.lists(
+        st.builds("{}{}{}{}".format, cell_spaces, st.sampled_from(("+", "-")), cell_spaces, cell_terms),
+        max_size=3,
+    ),
+)
+CELL_FRAGMENTS = ("±", "+", "-", " ", "\t", "\u00a0", "\u0661", "0", "1", "12", "gamma", "beta", "foo", "x")
+cell_texts = st.one_of(
+    cells, st.lists(st.sampled_from(CELL_FRAGMENTS), max_size=10).map("".join), st.text(max_size=12)
+)
+
+
+def cell_outcome(parse, text):
+    try:
+        return parse(text)
+    except CellSyntaxError:
+        return None
+
+
+@given(cell_texts)
+@example("-\u00a01")
+@example("1+\u00a0gamma")
+@example("1+" + "9" * 4400)
+@example("-\t1 \u00a0+ beta")
+@example("±\u00a03-gamma")
+@example("±-1")
+@example("± gamma")
+@example("1 2")
+@example("gamma+alpha")
+def test_parse_cell_accepts_and_refuses_as_the_oracle_does(text):
+    assert cell_outcome(parse_cell, text) == cell_outcome(oracles.parse_cell, text)
 
 
 @given(texts)

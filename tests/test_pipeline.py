@@ -7,7 +7,7 @@ import oracles
 from artinhexa import pipeline, triviality
 from artinhexa.artin import gen_from_hex, verify_artin
 from artinhexa.braids import classify
-from artinhexa.hexa import to_surgery
+from artinhexa.hexa import HexFilling, to_surgery
 from artinhexa.pipeline import (
     TSV_COLUMNS,
     ReportRow,
@@ -245,6 +245,38 @@ def test_match_examples_equals_the_oracle(monkeypatch):
     matches = match_examples(tasks, (-1, 1))
     monkeypatch.setattr(pipeline, "_example_instances", oracles.example_instances)
     assert matches == match_examples(tasks, (-1, 1))
+
+
+@pytest.mark.parametrize(
+    "stream, kwargs",
+    [
+        (build_tasks, dict(param_range=(-1, 1), symmetries="all")),
+        (build_tasks, dict(param_range=(0, 0), symmetries="id", mirror=True)),
+        # report rows are tasks too; the benchmark's traced run passes them
+        (run_tables, dict(param_range=(-1, 1), symmetries="all")),
+    ],
+    ids=["tasks", "tasks-mirror", "report-rows"],
+)
+def test_match_examples_equals_the_reference_matcher(stream, kwargs):
+    # the reference holds one task per distinct filling before matching
+    tasks = list(stream(**kwargs))
+    expected = oracles.match_examples(tasks, kwargs["param_range"])
+    assert sum(m.matched for m in expected) > 0
+    assert match_examples(tasks, kwargs["param_range"]) == expected
+
+
+def test_match_examples_reports_the_first_task_of_a_shared_triple(monkeypatch):
+    # distinct fillings of the tables give distinct triples, so the rule is
+    # pinned under a generator that merges fillings equal up to signs
+    def merged(filling):
+        return gen_from_hex(HexFilling(*(abs(v) for v in filling.as_tuple())))
+
+    tasks = list(build_tasks(param_range=(-1, 1), symmetries="all"))
+    monkeypatch.setattr(pipeline, "gen_from_hex", merged)
+    monkeypatch.setattr(oracles, "gen_from_hex", merged)
+    expected = oracles.match_examples(tasks, (-1, 1))
+    assert sum(m.matched for m in expected) > 0
+    assert match_examples(tasks, (-1, 1)) == expected
 
 
 def test_match_examples_finds_table5_and_flags_corruption(small_report):

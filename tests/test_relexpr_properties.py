@@ -50,19 +50,23 @@ FRAGMENTS = (
 )
 
 
-def insert(parts):
-    return expressions.flatmap(
-        lambda text: st.builds(
-            lambda at, part: text[:at] + part + text[at:], st.integers(0, len(text)), parts
-        )
-    )
+def insert(text, at, part):
+    at %= len(text) + 1
+    return text[:at] + part + text[at:]
 
 
-inserted = insert(st.sampled_from(FRAGMENTS))
-spaced = insert(spaces)
-removed = expressions.flatmap(
-    lambda text: st.integers(0, len(text) - 1).map(lambda at: text[:at] + text[at + 1:])
-)
+def remove(text, at):
+    at %= len(text)
+    return text[:at] + text[at + 1:]
+
+
+# each near miss is drawn as a tuple (text, position, fragment) whose
+# position is taken modulo the text's length, so every position stays
+# reachable, and Hypothesis shrinks the three parts independently
+positions = st.integers(min_value=0)
+inserted = st.builds(insert, expressions, positions, st.sampled_from(FRAGMENTS))
+spaced = st.builds(insert, expressions, positions, spaces)
+removed = st.builds(remove, expressions, positions)
 texts = st.one_of(
     expressions, inserted, spaced, removed,
     st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join),
