@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 domain error (bad input data, an unsolvable
-request, a file that cannot be read or written), 2 usage error.
+request, a file that cannot be read or written), 2 usage error, 141 (128 +
+SIGPIPE, nothing printed) when the reader closes standard output early.
 """
 
 from __future__ import annotations
@@ -21,17 +22,13 @@ from . import artin, braids, freeprod, hexa, pipeline, tables, triviality, words
 MAX_FILE_RANK = 10_000
 
 
-class DomainError(Exception):
-    pass
-
-
 def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
     try:
         values = tuple(words.parse_int(v) for v in text.split(","))
     except ValueError:
-        raise DomainError(f"{what}: expected comma-separated integers, got {words._clip(text)}")
+        raise ValueError(f"{what}: expected comma-separated integers, got {words._clip(text)}")
     if len(values) != count:
-        raise DomainError(f"{what}: expected {count} integers, got {len(values)}")
+        raise ValueError(f"{what}: expected {count} integers, got {len(values)}")
     return values
 
 
@@ -40,21 +37,18 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = text.split("..")
         return words.parse_int(lo), words.parse_int(hi)
     except ValueError:
-        raise DomainError(f"bad range {words._clip(text)}; expected LO..HI")
+        raise ValueError(f"bad range {words._clip(text)}; expected LO..HI")
 
 
 def _load_presentation(path: str) -> artin.Presentation:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        raise DomainError(str(exc))
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh if line.strip()]
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != "rank":
-        raise DomainError(f"{path}: first line must be 'rank N'")
+        raise ValueError(f"{path}: first line must be 'rank N'")
     rank = words.parse_int(head[1])
     if rank > MAX_FILE_RANK:
-        raise DomainError(f"{path}: rank {rank} is above the limit {MAX_FILE_RANK}")
+        raise ValueError(f"{path}: rank {rank} is above the limit {MAX_FILE_RANK}")
     relators = tuple(words.parse_word(line) for line in lines[1:])
     return artin.Presentation(rank, relators)
 
@@ -85,7 +79,7 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
 
 def _cmd_gen_presentation(args) -> int:
     if (args.hex is None) == (args.params is None):
-        raise DomainError("give exactly one of --hex or --params")
+        raise ValueError("give exactly one of --hex or --params")
     if args.hex is not None:
         filling = hexa.HexFilling(*_parse_ints(args.hex, 6, "--hex"))
         pres = artin.gen_from_hex(filling)
@@ -166,7 +160,7 @@ def _cmd_parse_cell(args) -> int:
         try:
             assignment = {name.strip(): words.parse_int(raw)}
         except ValueError:
-            raise DomainError(f"bad --assign {words._clip(args.assign)}; expected var=int")
+            raise ValueError(f"bad --assign {words._clip(args.assign)}; expected var=int")
         print("values " + ",".join(str(v) for v in cell.values(assignment)))
     elif cell.var is None:
         print("values " + ",".join(str(v) for v in cell.values({})))
@@ -191,8 +185,7 @@ def _cmd_run_tables(args) -> int:
 def _cmd_match_examples(args) -> int:
     cfg = _report_args(args)
     matches = pipeline.match_examples(pipeline.build_tasks(**cfg), cfg["param_range"])
-    text = pipeline.matches_json(matches) if args.json else pipeline.matches_tsv(matches)
-    _emit([text], args.out)
+    _emit(pipeline.match_lines(matches, as_json=args.json), args.out)
     return 0
 
 
@@ -274,8 +267,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (DomainError, ValueError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is left, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

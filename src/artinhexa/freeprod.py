@@ -104,10 +104,10 @@ def fp_power(w: FPWord, k: int) -> FPWord:
 
 # images of sigma1, sigma2 and their inverses
 _RHO = {
-    1: (Y2_SYL, D_SYL),   # y^2*D
-    -1: (D_SYL, Y_SYL),   # (y^2*D)^-1 = D*y
-    2: (D_SYL, Y2_SYL),   # D*y^2
-    -2: (Y_SYL, D_SYL),   # (D*y^2)^-1 = y*D
+    1: FPWord((Y2_SYL, D_SYL)),   # y^2*D
+    -1: FPWord((D_SYL, Y_SYL)),   # (y^2*D)^-1 = D*y
+    2: FPWord((D_SYL, Y2_SYL)),   # D*y^2
+    -2: FPWord((Y_SYL, D_SYL)),   # (D*y^2)^-1 = y*D
 }
 
 
@@ -118,15 +118,10 @@ def rho(braid_letters: Iterable[int]) -> FPWord:
     sigma1^{+-1}, ``2``/``-2`` for sigma2^{+-1}.  Satisfies the braid
     relation (rho(s1 s2 s1) == rho(s2 s1 s2)) and kills the full twist.
     """
-    stack: list[int] = []
-    for letter in braid_letters:
-        try:
-            image = _RHO[letter]
-        except KeyError:
-            raise FPWordError(f"bad braid letter {letter}; use +-1, +-2") from None
-        for syl in image:
-            _push(stack, syl)
-    return FPWord(tuple(stack))
+    try:
+        return fp_concat(*(_RHO[letter] for letter in braid_letters))
+    except KeyError as exc:
+        raise FPWordError(f"bad braid letter {exc.args[0]}; use +-1, +-2") from None
 
 
 def serialize_fp_word(w: FPWord) -> str:

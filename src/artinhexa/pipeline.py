@@ -88,6 +88,8 @@ TSV_COLUMNS = (
     "example_match",
 )
 
+MATCH_COLUMNS = ("example_table", "row", "kind", "instances", "matched", "first_match")
+
 
 def assignments_for(
     variables: Sequence[str], param_range: tuple[int, int]
@@ -211,13 +213,20 @@ def _example_instances(example: ExampleRow, param_range: tuple[int, int]):
         yield assignment, triple
 
 
+def _examples(param_range: tuple[int, int]) -> list[tuple[int, ExampleRow, list]]:
+    return [
+        (table, example, list(_example_instances(example, param_range)))
+        for table in EXAMPLE_TABLES
+        for example in load_examples(table)
+    ]
+
+
 def example_index(param_range: tuple[int, int]) -> dict[tuple[str, str, str], str]:
     """Map reduced relator triples to their example-table coordinates."""
     index: dict[tuple[str, str, str], str] = {}
-    for table in EXAMPLE_TABLES:
-        for example in load_examples(table):
-            for _, triple in _example_instances(example, param_range):
-                index.setdefault(triple, f"{table}:{example.row}")
+    for table, example, instances in _examples(param_range):
+        for _, triple in instances:
+            index.setdefault(triple, f"{table}:{example.row}")
     return index
 
 
@@ -241,11 +250,7 @@ def match_examples(
     findings to report, not failures.  The tasks are read as a stream:
     what is kept is the fillings seen and one task per example triple.
     """
-    examples = [
-        (table, example, list(_example_instances(example, param_range)))
-        for table in EXAMPLE_TABLES
-        for example in load_examples(table)
-    ]
+    examples = _examples(param_range)
     first = dict.fromkeys(triple for *_, instances in examples for _, triple in instances)
     seen: set[HexFilling] = set()
     for task in tasks:
@@ -294,22 +299,27 @@ def _row_cells(row: ReportRow) -> list[str]:
     ]
 
 
-def report_lines(rows: Iterable[ReportRow], as_json: bool = False) -> Iterator[str]:
-    """The report as it is written, one chunk per row (and one for the
-    header or the brackets), so a report is never held whole.  The JSON
-    chunks join to ``json.dumps(payload, indent=2) + "\\n"``."""
+def _table_lines(columns: Sequence[str], records: Iterable[Sequence], as_json: bool) -> Iterator[str]:
+    """A table as it is written, one chunk per record (and one for the header
+    or the brackets), so it is never held whole; TSV cells are strings.  The
+    JSON chunks join to ``json.dumps(payload, indent=2) + "\\n"``."""
     if not as_json:
-        yield "\t".join(TSV_COLUMNS) + "\n"
-        for row in rows:
-            yield "\t".join(_row_cells(row)) + "\n"
+        yield "\t".join(columns) + "\n"
+        for cells in records:
+            yield "\t".join(cells) + "\n"
         return
     yield "["
     sep = ""
-    for row in rows:
-        text = json.dumps(dict(zip(TSV_COLUMNS, _row_cells(row))), indent=2)
+    for cells in records:
+        text = json.dumps(dict(zip(columns, cells)), indent=2)
         yield sep + "\n  " + text.replace("\n", "\n  ")
         sep = ","
     yield "\n]\n" if sep else "]\n"
+
+
+def report_lines(rows: Iterable[ReportRow], as_json: bool = False) -> Iterator[str]:
+    """The report, one chunk per row, as :func:`_table_lines` writes it."""
+    return _table_lines(TSV_COLUMNS, map(_row_cells, rows), as_json)
 
 
 def report_tsv(rows: Iterable[ReportRow]) -> str:
@@ -320,34 +330,17 @@ def report_json(rows: Iterable[ReportRow]) -> str:
     return "".join(report_lines(rows, as_json=True))
 
 
-def matches_tsv(matches: Sequence[ExampleMatch]) -> str:
-    lines = ["\t".join(("example_table", "row", "kind", "instances", "matched", "first_match"))]
-    for m in matches:
-        lines.append(
-            "\t".join(
-                (
-                    str(m.table),
-                    str(m.row),
-                    "concrete" if m.concrete else "parametric",
-                    str(m.instances),
-                    str(m.matched),
-                    m.first_match or "-",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def matches_json(matches: Sequence[ExampleMatch]) -> str:
-    payload = [
-        {
-            "example_table": m.table,
-            "row": m.row,
-            "kind": "concrete" if m.concrete else "parametric",
-            "instances": m.instances,
-            "matched": m.matched,
-            "first_match": m.first_match,
-        }
+def match_lines(matches: Iterable[ExampleMatch], as_json: bool = False) -> Iterator[str]:
+    """The example matches, one chunk per example row, as :func:`_table_lines`
+    writes them; an unmatched ``first_match`` is ``-`` in TSV, ``""`` in JSON."""
+    records = (
+        (m.table, m.row, "concrete" if m.concrete else "parametric", m.instances, m.matched, m.first_match)
         for m in matches
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    )
+    if not as_json:
+        records = ((*map(str, r[:-1]), r[-1] or "-") for r in records)
+    return _table_lines(MATCH_COLUMNS, records, as_json)
+
+
+def matches_tsv(matches: Sequence[ExampleMatch]) -> str:
+    return "".join(match_lines(matches))

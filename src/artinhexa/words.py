@@ -112,16 +112,12 @@ def generator(index: int, exp: int = 1) -> Word:
     return Word(((index, exp),))
 
 
-def reduce_word(pairs: Iterable[Syllable], rank: int | None = None) -> Word:
-    """Freely reduce a raw syllable sequence.
-
-    Pairs with exponent 0 are dropped.  ``rank``, when given, bounds the
-    allowed generator indices (1..rank).  Reduction is idempotent:
-    ``reduce_word(w.syllables) == w`` for any :class:`Word` ``w``.
-    """
+def reduce_word(pairs: Iterable[Syllable]) -> Word:
+    """Freely reduce a raw syllable sequence, dropping exponent-0 pairs.
+    Idempotent: ``reduce_word(w.syllables) == w`` for any :class:`Word` ``w``."""
     pairs = tuple(pairs)
     for gen, _ in pairs:
-        if gen < 1 or (rank is not None and gen > rank):
+        if gen < 1:
             raise WordError(f"generator index {gen} out of range")
     return Word(_reduce_syllables(pairs))
 

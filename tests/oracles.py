@@ -9,13 +9,15 @@ literal letter expansion of a braid, the Z2 * Z3 torus criterion, right
 conjugation, a character-by-character recursive-descent parser whose
 instantiation multiplies reduced powers, and the first versions of the
 Smith form (swap, restart and offender loop), the table-cell parser (a
-term-by-term scanner) and the example matcher (every distinct filling's
-task held before matching).  Not collected by pytest (no ``test_``
-prefix); test modules import it.
+term-by-term scanner), the example matcher (every distinct filling's
+task held before matching) and the example-match writers (the TSV joined
+from a list of lines, the JSON dumped as one payload).  Not collected by
+pytest (no ``test_`` prefix); test modules import it.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -395,3 +397,36 @@ def match_examples(tasks, param_range=(-5, 5)):
                         first = loc
             out.append(ExampleMatch(table, example.row, example.is_concrete, total, matched, first))
     return out
+
+
+def matches_tsv(matches) -> str:
+    lines = ["\t".join(("example_table", "row", "kind", "instances", "matched", "first_match"))]
+    for m in matches:
+        lines.append(
+            "\t".join(
+                (
+                    str(m.table),
+                    str(m.row),
+                    "concrete" if m.concrete else "parametric",
+                    str(m.instances),
+                    str(m.matched),
+                    m.first_match or "-",
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def matches_json(matches) -> str:
+    payload = [
+        {
+            "example_table": m.table,
+            "row": m.row,
+            "kind": "concrete" if m.concrete else "parametric",
+            "instances": m.instances,
+            "matched": m.matched,
+            "first_match": m.first_match,
+        }
+        for m in matches
+    ]
+    return json.dumps(payload, indent=2) + "\n"

@@ -291,6 +291,42 @@ def test_match_examples_small(capsys):
     assert "table1 row 1" in t5r1
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["tsv", "json"])
+def test_match_examples_stdout_equals_out_file(tmp_path, capsysbinary, fmt):
+    argv = ["match-examples", "--tables", "1", "--param-range=-1..1", "--symmetries", "id", *fmt]
+    out_path = tmp_path / "matches"
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main([*argv, "--out", str(out_path)]) == 0
+    assert stdout == out_path.read_bytes() != b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run-tables", "--tables", "1", "--param-range=-1..1", "--symmetries", "id", "--jobs", "1"),
+        ("run-tables", "--tables", "1", "--param-range=-1..1", "--symmetries", "id", "--jobs", "2"),
+        ("match-examples", "--tables", "1", "--param-range=0..0", "--symmetries", "id"),
+        ("orbit", "--hex", "1,2,3,4,5,6"),
+    ],
+    ids=["run-tables-jobs-1", "run-tables-jobs-2", "match-examples", "orbit"],
+)
+def test_closed_reader_ends_the_run_quietly(argv):
+    # the reader has gone before the first write, as `head -1` has after one
+    # line; 141 is 128 + SIGPIPE, the status a shell shows for such a writer
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "artinhexa.cli", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_match_examples_compares_relators_only(monkeypatch, capsys):
     argv = ("match-examples", "--tables", "1,2,3", "--param-range=-1..1", "--jobs", "2")
     code, expected, _ = run(capsys, *argv)

@@ -145,8 +145,8 @@ def test_rho_kills_full_twist():
 
 
 def test_rho_rejects_bad_letters():
-    with pytest.raises(FPWordError):
-        rho([3])
+    with pytest.raises(FPWordError, match="bad braid letter 3; use"):
+        rho([1, 3])
 
 
 def test_even_power_form_examples():

@@ -10,12 +10,14 @@ from artinhexa.braids import classify
 from artinhexa.hexa import HexFilling, to_surgery
 from artinhexa.pipeline import (
     TSV_COLUMNS,
+    ExampleMatch,
     ReportRow,
     _row_cells,
     assignments_for,
     build_tasks,
     example_index,
     match_examples,
+    match_lines,
     matches_tsv,
     report_json,
     report_tsv,
@@ -291,6 +293,21 @@ def test_match_examples_finds_table5_and_flags_corruption(small_report):
     assert text.startswith("example_table\trow")
     # tasks carry no report cells; their relators give the same matches
     assert [m for m in match_examples(build_tasks(**SMALL), (-1, 1)) if m.table == 5] == matches
+
+
+def test_match_lines_equal_the_reference_writers():
+    # match-examples writes through the report writer: the TSV needs its
+    # cells as strings and "-" for an unmatched row, the JSON its numbers
+    # and "" for it
+    unmatched = ExampleMatch(6, 12, False, 3, 0, "")
+    for matches in (
+        match_examples(build_tasks(param_range=(-1, 1), symmetries="all"), (-1, 1)),
+        match_examples(build_tasks(param_range=(0, 0), symmetries="id", mirror=True), (0, 0)),
+        [unmatched, ExampleMatch(5, 1, True, 1, 1, "table1 row 1 sym 1")],
+        [],
+    ):
+        assert "".join(match_lines(matches)) == matches_tsv(matches) == oracles.matches_tsv(matches)
+        assert "".join(match_lines(matches, as_json=True)) == oracles.matches_json(matches)
 
 
 def test_unknown_symmetry_mode_rejected():

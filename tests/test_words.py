@@ -79,8 +79,6 @@ def test_reduce_idempotent_and_matches_letter_oracle():
 def test_reduce_rejects_bad_generators():
     with pytest.raises(WordError):
         reduce_word([(0, 1)])
-    with pytest.raises(WordError):
-        reduce_word([(4, 1)], rank=3)
 
 
 def test_word_invariant_enforced():
