@@ -266,6 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, low in (("jobs", 1), ("budget", 0)):
+        if getattr(args, flag, low) < low:
+            parser.error(f"argument --{flag}: {getattr(args, flag)} is below {low}")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -42,7 +43,8 @@ Assignment = tuple[tuple[str, int], ...]
 # Tasks taken per block: the block's new fillings go to the workers in one
 # ``map``, so at benchmark scale each run is a single block.
 BLOCK_TASKS = 4096
-# Fillings whose cells are kept; the oldest is dropped first.  The chain is
+# Fillings whose cells are kept from one block to the next; the oldest is
+# dropped first.  The chain is
 # pure, so a dropped filling only costs a second run of the chain.
 CACHE_FILLINGS = 1 << 16
 
@@ -118,8 +120,12 @@ def build_tasks(
     syms: tuple[HexSymmetry, ...]
     syms = load_symmetries() if symmetries == "all" else (identity_symmetry(),)
     assignments_for((), param_range)  # raises on an empty range
-    loaded = [(table_id, load_table(table_id)) for table_id in tables]
-    return _tasks(loaded, param_range, syms, mirror)
+    loaded = {}
+    for table_id in tables:
+        if table_id in loaded:
+            raise ValueError(f"table {table_id} is given more than once")
+        loaded[table_id] = load_table(table_id)
+    return _tasks(loaded.items(), param_range, syms, mirror)
 
 
 def _tasks(loaded, param_range, syms, mirror) -> Iterator[Task]:
@@ -176,24 +182,22 @@ def _rows(tasks, param_range, jobs, budget) -> Iterator[ReportRow]:
     run = functools.partial(_run_filling, budget=budget)
     index = example_index(param_range)
     cache: dict[HexFilling, tuple] = {}
+    workers = min(jobs, os.cpu_count() or 1)
     pool = None
-    if jobs > 1:
+    if workers > 1:
         import multiprocessing
 
-        pool = multiprocessing.Pool(jobs)
+        pool = multiprocessing.Pool(workers)
     try:
         while block := list(itertools.islice(tasks, BLOCK_TASKS)):
-            # the block reads its cells from this dict, never from the
-            # cache, so what the cache drops below cannot reach its rows
-            cells = {task.filling: cache.get(task.filling) for task in block}
-            todo = [filling for filling, cell in cells.items() if cell is None]
+            todo = [f for f in dict.fromkeys(task.filling for task in block) if f not in cache]
             results = map(run, todo) if pool is None else pool.map(run, todo, chunksize=64)
             for filling, result in zip(todo, results):
-                cells[filling] = cache[filling] = (*result, index.get(result[0], ""))
-                if len(cache) > CACHE_FILLINGS:
-                    del cache[next(iter(cache))]
+                cache[filling] = (*result, index.get(result[0], ""))
             for task in block:
-                yield ReportRow(*vars(task).values(), *cells[task.filling])
+                yield ReportRow(*vars(task).values(), *cache[task.filling])
+            while len(cache) > CACHE_FILLINGS:
+                del cache[next(iter(cache))]
     finally:
         if pool is not None:
             pool.terminate()

@@ -106,12 +106,6 @@ class TrivialityVerdict:
         }
 
 
-@dataclass
-class _State:
-    rank: int
-    relators: list[Word]
-
-
 def _canonical(relators: Iterable[Word]) -> list[Word]:
     out = []
     for r in relators:
@@ -121,13 +115,13 @@ def _canonical(relators: Iterable[Word]) -> list[Word]:
     return out
 
 
-def _eliminate(state: _State, rel_index: int, gen: int, repl: Word) -> None:
+def _eliminate(relators: list[Word], rel_index: int, gen: int, repl: Word) -> list[Word]:
     # ``gen`` occurs in relator ``rel_index`` (checked by the caller), so it
     # lies in 1..rank; ``repl`` lacks it, so shifting the higher generators
     # down one keeps adjacent generators distinct
     repl = _word(tuple((g - 1 if g > gen else g, e) for g, e in repl.syllables))
     new = []
-    for k, other in enumerate(state.relators):
+    for k, other in enumerate(relators):
         if k == rel_index:
             continue
         pairs: list[tuple[int, int]] = []
@@ -137,8 +131,7 @@ def _eliminate(state: _State, rel_index: int, gen: int, repl: Word) -> None:
             else:
                 pairs.append((g - 1 if g > gen else g, e))
         new.append(_word(_reduce_syllables(pairs)))
-    state.relators = new
-    state.rank -= 1
+    return new
 
 
 def _solve(relator: Word, gen: int) -> Word:
@@ -153,49 +146,49 @@ def _solve(relator: Word, gen: int) -> Word:
     return vu if syls[i][1] == -1 else invert(vu)
 
 
-def _relator_index(state: _State, k: int) -> int:
-    if not 0 <= k < len(state.relators):
-        raise ValueError(f"relator index {k} out of range 0..{len(state.relators) - 1}")
+def _relator_index(relators: list[Word], k: int) -> int:
+    if not 0 <= k < len(relators):
+        raise ValueError(f"relator index {k} out of range 0..{len(relators) - 1}")
     return k
 
 
-def apply_move(state: _State, move: Move) -> None:
-    """Apply one Tietze move, refusing with ``ValueError`` any move that is
-    not legal on ``state``: a relator index out of range, a ``kill`` of a
-    relator other than the bare ``x_gen^+-1``, a ``subst`` of a generator
-    that is not solvable, or a ``mult`` of a relator by itself, with a sign
-    other than +-1 or a rotation outside its syllables."""
+def apply_move(rank: int, relators: list[Word], move: Move) -> tuple[int, list[Word]]:
+    """The ``(rank, relators)`` after one Tietze move; ``relators`` is left
+    as it is.  Refuses with ``ValueError`` any move that is not legal on
+    them: a relator index out of range, a ``kill`` of a relator other than
+    the bare ``x_gen^+-1``, a ``subst`` of a generator that is not solvable,
+    or a ``mult`` of a relator by itself, with a sign other than +-1 or a
+    rotation outside its syllables."""
     kind = move[0]
     if kind == "reduce":
-        state.relators = _canonical(state.relators)
-    elif kind in ("kill", "subst"):
+        return rank, _canonical(relators)
+    if kind in ("kill", "subst"):
         # a bare relator x_gen^+-1 solves to the identity
         _, rel_index, gen = move
-        relator = state.relators[_relator_index(state, rel_index)]
+        relator = relators[_relator_index(relators, rel_index)]
         if kind == "kill" and relator.syllables not in (((gen, 1),), ((gen, -1),)):
             raise ValueError(f"relator {rel_index} is not x{gen}^+-1")
-        _eliminate(state, rel_index, gen, _solve(relator, gen))
-    elif kind == "mult":
+        return rank - 1, _eliminate(relators, rel_index, gen, _solve(relator, gen))
+    if kind == "mult":
         _, i, j, sign, rot = move
-        syls = state.relators[_relator_index(state, i)].syllables
-        other = state.relators[_relator_index(state, j)]
+        syls = relators[_relator_index(relators, i)].syllables
+        other = relators[_relator_index(relators, j)]
         if i == j or sign not in (1, -1) or not 0 <= rot < len(syls):
             raise ValueError(f"illegal multiplication move {move!r}")
         if sign == -1:
             other = invert(other)
         pairs = syls[rot:] + syls[:rot] + other.syllables
-        state.relators[i] = _word(_reduce_syllables(pairs))
-    else:
-        raise ValueError(f"unknown move {move!r}")
+        return rank, [*relators[:i], _word(_reduce_syllables(pairs)), *relators[i + 1 :]]
+    raise ValueError(f"unknown move {move!r}")
 
 
 def replay(pres: Presentation, moves: Iterable[Move]) -> tuple[int, tuple[Word, ...]]:
     """Re-apply a move log from scratch; returns the final (rank, relators).
     A valid Trivial certificate replays to ``(0, ())``."""
-    state = _State(pres.rank, list(pres.relators))
+    rank, relators = pres.rank, list(pres.relators)
     for move in moves:
-        apply_move(state, move)
-    return state.rank, tuple(state.relators)
+        rank, relators = apply_move(rank, relators, move)
+    return rank, tuple(relators)
 
 
 def _best_mult(relators: list[Word]) -> Move | None:
@@ -210,7 +203,6 @@ def _best_mult(relators: list[Word]) -> Move | None:
     lengths = [len(r) for r in relators]
     signed = [((1, r.syllables), (-1, invert(r).syllables)) for r in relators]
     best_key = None
-    best_move = None
     for i, ri in enumerate(relators):
         syls = ri.syllables
         n = len(syls)
@@ -237,8 +229,7 @@ def _best_mult(relators: list[Word]) -> Move | None:
                     key = (length, cand, i, j, sign, rot)
                     if best_key is None or key < best_key:
                         best_key = key
-                        best_move = ("mult", i, j, sign, rot)
-    return best_move
+    return best_key and ("mult", *best_key[2:])
 
 
 def simplify(pres: Presentation, budget: int = DEFAULT_BUDGET) -> TrivialityVerdict:
@@ -255,33 +246,29 @@ def simplify(pres: Presentation, budget: int = DEFAULT_BUDGET) -> TrivialityVerd
     divisors = abelian_invariants(pres)
     if any(d != 1 for d in divisors):
         return TrivialityVerdict("NotTrivial", divisors, ())
-    state = _State(pres.rank, list(pres.relators))
+    rank, relators = pres.rank, list(pres.relators)
     moves: list[Move] = []
-    while True:
-        if state.rank == 0:
-            return TrivialityVerdict("Trivial", divisors, tuple(moves))
-        if len(moves) >= budget:
-            return TrivialityVerdict("Unknown", divisors, tuple(moves))
+    while rank and len(moves) < budget:
         # right after a ("reduce",) move the relators are canonical already
-        canonical = state.relators if moves[-1:] == [("reduce",)] else _canonical(state.relators)
-        if canonical != state.relators:
+        canonical = relators if moves[-1:] == [("reduce",)] else _canonical(relators)
+        if canonical != relators:
             # the ("reduce",) move, applied from the pass just computed
-            move = ("reduce",)
-            state.relators = canonical
+            move, relators = ("reduce",), canonical
         else:
-            move = _pick_structural(state) or _best_mult(state.relators)
+            move = _pick_structural(relators) or _best_mult(relators)
             if move is None:
-                return TrivialityVerdict("Unknown", divisors, tuple(moves))
-            apply_move(state, move)
+                break
+            rank, relators = apply_move(rank, relators, move)
         moves.append(move)
+    return TrivialityVerdict("Unknown" if rank else "Trivial", divisors, tuple(moves))
 
 
-def _pick_structural(state: _State) -> Move | None:
-    for idx, r in enumerate(state.relators):
+def _pick_structural(relators: list[Word]) -> Move | None:
+    for idx, r in enumerate(relators):
         syls = r.syllables
         if len(syls) == 1 and abs(syls[0][1]) == 1:
             return ("kill", idx, syls[0][0])
-    for idx, r in enumerate(state.relators):
+    for idx, r in enumerate(relators):
         counts: dict[int, int] = {}
         for g, e in r.syllables:
             counts[g] = counts.get(g, 0) + abs(e)

@@ -194,7 +194,12 @@ def test_run_tables_tsv_and_json(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--tables", "1,9"), ("--param-range=2..1",), ("--symmetries", "id", "--tables", "0")],
+    [
+        ("--tables", "1,9"),
+        ("--param-range=2..1",),
+        ("--symmetries", "id", "--tables", "0"),
+        ("--tables", "1,1"),
+    ],
 )
 @pytest.mark.parametrize("command", ["run-tables", "match-examples"])
 def test_report_input_errors_create_no_file(tmp_path, capsys, command, argv):
@@ -358,6 +363,11 @@ def test_usage_errors_exit_2(capsys):
     for argv in (["orbit", "--hex", "1,0,0,0,0,0", "--mirror", "maybe"],
                  ["run-tables", "--mirror", "maybe"],
                  ["run-tables", "--jobs", "\u0661"],
+                 ["run-tables", "--jobs", "0"],
+                 ["run-tables", "--jobs", "-3"],
+                 ["match-examples", "--jobs", "0"],
+                 ["run-tables", "--budget", "-1"],
+                 ["simplify", "--file", "pres.txt", "--budget", "-1"],
                  ["classify-braid", "--blocks", "1,1", "--twist", "1_0"]):
         with pytest.raises(SystemExit) as err:
             main(argv)

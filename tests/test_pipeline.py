@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 
 import pytest
 
@@ -158,6 +159,35 @@ def test_jobs_do_not_change_report():
             assert got == expected, f"mirror={mirror} jobs={jobs}"
 
 
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(100_000, 3, 3), (2, 3, 2), (8, None, None), (1, 4, None)],
+    ids=["capped", "below-cap", "cpu-count-unknown", "serial"],
+)
+def test_pool_size_is_capped_at_cpu_count(monkeypatch, jobs, cpus, workers):
+    # a fake pool runs the chain in this process, so no worker is started
+    import multiprocessing
+
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def map(self, func, iterable, chunksize=1):
+            return list(map(func, iterable))
+
+        def terminate(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    config = dict(tables=(1,), param_range=(0, 0), symmetries="id")
+    got = report_tsv(run_tables(**config, jobs=jobs))
+    assert started == ([] if workers is None else [workers])
+    assert got == report_tsv(run_tables(**config, jobs=1))
+
+
 def test_first_row_runs_the_chain_on_one_block(monkeypatch, chain_calls):
     monkeypatch.setattr(pipeline, "BLOCK_TASKS", 256)
     rows = run_tables(param_range=(-5, 5), symmetries="all", jobs=1)
@@ -169,8 +199,8 @@ def test_first_row_runs_the_chain_on_one_block(monkeypatch, chain_calls):
 
 
 def test_cache_eviction_keeps_the_bytes(monkeypatch, chain_calls):
-    # a cache far smaller than a block: fillings of the block being
-    # written are dropped from it, and come back through the chain later
+    # a cache far smaller than a block: it is cut back after each block,
+    # so fillings of earlier blocks come back through the chain later
     monkeypatch.setattr(pipeline, "BLOCK_TASKS", 512)
     monkeypatch.setattr(pipeline, "CACHE_FILLINGS", 16)
     config = dict(tables=(1,), param_range=(-1, 1), symmetries="all", mirror=True)
@@ -317,8 +347,13 @@ def test_unknown_symmetry_mode_rejected():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(symmetries="some"), dict(tables=(1, 9)), dict(param_range=(2, 1))],
-    ids=["symmetries", "table", "range"],
+    [
+        dict(symmetries="some"),
+        dict(tables=(1, 9)),
+        dict(param_range=(2, 1)),
+        dict(tables=(1, 1)),
+    ],
+    ids=["symmetries", "table", "range", "repeated-table"],
 )
 def test_bad_arguments_raise_before_any_row(kwargs):
     # the tasks and rows are lazy, but their arguments are checked on call

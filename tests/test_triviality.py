@@ -1,5 +1,8 @@
 import functools
+import hashlib
+import json
 import random
+import re
 
 import pytest
 
@@ -10,11 +13,20 @@ from artinhexa.pipeline import build_tasks
 from artinhexa.triviality import (
     TrivialityVerdict,
     abelian_invariants,
+    apply_move,
     replay,
     simplify,
     smith_invariants,
 )
-from artinhexa.words import Word, concat, invert, parse_word, power, reduce_word
+from artinhexa.words import (
+    Word,
+    concat,
+    invert,
+    parse_word,
+    power,
+    reduce_word,
+    serialize_word,
+)
 from oracles import conjugate
 
 
@@ -228,6 +240,46 @@ def test_replay_rejects_illegal_moves(relators, moves):
         replay(pres(*relators), moves)
 
 
+@pytest.mark.parametrize(
+    "relators, move, expected",
+    [
+        (("x2*x1*x2^-1", "1", "x3*x2"), ("reduce",), (3, ["x1", "x2*x3"])),
+        (("x1", "x1*x2", "x3*x1^-1"), ("kill", 0, 1), (2, ["x1", "x2"])),
+        (("x1*x2*x3", "x1*x3", "x2"), ("subst", 0, 2), (2, ["x1*x2", "x1^-1*x2^-1"])),
+        (("x1*x2", "x2^-1*x3", "x3"), ("mult", 0, 1, 1, 0), (3, ["x1*x3", "x2^-1*x3", "x3"])),
+        (("x1*x2", "x3*x1", "x3"), ("mult", 0, 1, -1, 1), (3, ["x2*x3^-1", "x3*x1", "x3"])),
+    ],
+    ids=["reduce", "kill", "subst", "mult", "mult-inverse-rotated"],
+)
+def test_apply_move_returns_a_new_pair(relators, move, expected):
+    given = [parse_word(t) for t in relators]
+    before = list(given)
+    rank, out = apply_move(3, given, move)
+    assert given == before
+    assert out is not given
+    assert (rank, [serialize_word(w) for w in out]) == expected
+
+
+@pytest.mark.parametrize(
+    "relators, move, message",
+    [
+        (("x1", "x2", "x3"), ("kill", 5, 1), "relator index 5 out of range 0..2"),
+        (("x1", "x2", "x3"), ("kill", 0, 2), "relator 0 is not x2^+-1"),
+        (("x1^2*x2", "x2", "x3"), ("subst", 0, 1), "generator 1 is not solvable in x1^2*x2"),
+        (("x1^2", "x2", "x3"), ("mult", 0, 0, -1, 0), "illegal multiplication move ('mult', 0, 0, -1, 0)"),
+        (("x1*x2", "x2", "x3"), ("mult", 0, 1, 1, 2), "illegal multiplication move ('mult', 0, 1, 1, 2)"),
+        (("x1", "x2", "x3"), ("swap", 0, 1), "unknown move ('swap', 0, 1)"),
+    ],
+    ids=["index", "kill", "subst", "mult-self", "mult-rotation", "unknown"],
+)
+def test_apply_move_refuses_illegal_moves(relators, move, message):
+    given = [parse_word(t) for t in relators]
+    before = list(given)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_move(3, given, move)
+    assert given == before
+
+
 def test_every_emitted_log_replays():
     # logs of every verdict, not only Trivial ones, consist of legal moves
     fillings = dict.fromkeys(t.filling for t in build_tasks((1, 2, 3), (-1, 1), "id"))
@@ -284,6 +336,22 @@ WORKLOADS = pytest.mark.parametrize(
 )
 
 
+# sha256 of each workload's verdict JSON, one line per distinct filling:
+# a change to any move log, verdict or divisor changes it
+LOG_DIGESTS = {
+    "sweep": "ea0b605b1ad968c02c9c2b69351448e45eb3e7492213717875425b4767b4e1cf",
+    "long-words": "2f4469bc6941a0a4d597ded408e1901ab620e21f2400b8d3aa5c08d3fbd409d0",
+}
+
+
+@WORKLOADS
+def test_move_logs_match_golden_digest(request, tables, param_range, symmetries, distinct):
+    fillings, _, verdicts = distinct_verdicts(tables, param_range, symmetries)
+    assert len(fillings) == distinct
+    text = "\n".join(json.dumps(v) for v in verdicts)
+    assert hashlib.sha256(text.encode()).hexdigest() == LOG_DIGESTS[request.node.callspec.id]
+
+
 @WORKLOADS
 def test_best_mult_matches_candidate_word_reference(
     monkeypatch, tables, param_range, symmetries, distinct
@@ -319,7 +387,7 @@ def reference_canonical(relators):
     return [c for c in (reference_cyclic_reduce(r)[0] for r in relators) if c]
 
 
-def reference_eliminate(state, rel_index, gen, repl):
+def reference_eliminate(relators, rel_index, gen, repl):
     """Elimination in two passes per relator: substitute with ``power`` and
     ``concat``, then renumber the generators above ``gen``."""
 
@@ -329,10 +397,7 @@ def reference_eliminate(state, rel_index, gen, repl):
     def renumber(w):
         return Word(tuple((g - 1 if g > gen else g, e) for g, e in w.syllables))
 
-    state.relators = [
-        renumber(replace(r)) for k, r in enumerate(state.relators) if k != rel_index
-    ]
-    state.rank -= 1
+    return [renumber(replace(r)) for k, r in enumerate(relators) if k != rel_index]
 
 
 def reference_simplify(pres):
@@ -341,20 +406,20 @@ def reference_simplify(pres):
     divisors = abelian_invariants(pres)
     if any(d != 1 for d in divisors):
         return TrivialityVerdict("NotTrivial", divisors, ())
-    state = triviality._State(pres.rank, list(pres.relators))
+    rank, relators = pres.rank, list(pres.relators)
     moves = []
-    while state.rank and len(moves) < triviality.DEFAULT_BUDGET:
-        canonical = triviality._canonical(state.relators)
-        if canonical != state.relators:
+    while rank and len(moves) < triviality.DEFAULT_BUDGET:
+        canonical = triviality._canonical(relators)
+        if canonical != relators:
             move = ("reduce",)
-            state.relators = canonical
+            relators = canonical
         else:
-            move = triviality._pick_structural(state) or triviality._best_mult(state.relators)
+            move = triviality._pick_structural(relators) or triviality._best_mult(relators)
             if move is None:
                 break
-            triviality.apply_move(state, move)
+            rank, relators = triviality.apply_move(rank, relators, move)
         moves.append(move)
-    return TrivialityVerdict("Unknown" if state.rank else "Trivial", divisors, tuple(moves))
+    return TrivialityVerdict("Unknown" if rank else "Trivial", divisors, tuple(moves))
 
 
 @WORKLOADS
