@@ -174,20 +174,42 @@ def run_tables(
 ) -> Iterator[ReportRow]:
     """The report rows in task order, as an iterator.  The arguments are
     checked before this returns; the chain runs as the rows are taken."""
+    for name, value, low in (("jobs", jobs, 1), ("budget", budget, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     tasks = build_tasks(tables, param_range, symmetries, mirror)
     return _rows(tasks, param_range, jobs, budget)
+
+
+def _pin_worker(counter, cpus: list[int]) -> None:
+    """Pool initializer: pin the k-th worker started to ``cpus[k % len(cpus)]``,
+    as the scheduler may leave forked workers sharing one CPU.  A replacement
+    worker takes the next k, so this never waits.  An initializer that raises
+    makes the pool restart workers for ever, so a failed pin is skipped."""
+    with counter.get_lock():
+        k = counter.value
+        counter.value += 1
+    try:
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+    except (AttributeError, OSError):
+        pass
 
 
 def _rows(tasks, param_range, jobs, budget) -> Iterator[ReportRow]:
     run = functools.partial(_run_filling, budget=budget)
     index = example_index(param_range)
     cache: dict[HexFilling, tuple] = {}
-    workers = min(jobs, os.cpu_count() or 1)
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity calls on this platform
+        cpus = list(range(os.cpu_count() or 1))
+    workers = min(jobs, len(cpus))
     pool = None
     if workers > 1:
         import multiprocessing
 
-        pool = multiprocessing.Pool(workers)
+        counter = multiprocessing.Value("i", 0)
+        pool = multiprocessing.Pool(workers, initializer=_pin_worker, initargs=(counter, cpus))
     try:
         while block := list(itertools.islice(tasks, BLOCK_TASKS)):
             todo = [f for f in dict.fromkeys(task.filling for task in block) if f not in cache]

@@ -243,6 +243,8 @@ def simplify(pres: Presentation, budget: int = DEFAULT_BUDGET) -> TrivialityVerd
     NotTrivial up front, so Trivial is never reported for a group with
     nontrivial homology.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     divisors = abelian_invariants(pres)
     if any(d != 1 for d in divisors):
         return TrivialityVerdict("NotTrivial", divisors, ())

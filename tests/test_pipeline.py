@@ -1,6 +1,11 @@
 import functools
 import json
+import multiprocessing
 import os
+import random
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -89,6 +94,38 @@ def chain_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """``multiprocessing.Pool`` replaced by a pool started in no process.  It
+    runs the initializer once per worker with each pin recorded, not made,
+    and computes ``map``'s chunks in a shuffled order.  The value is a list
+    of ``(workers, pinned CPUs)``, one per pool."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, processes, initializer, initargs):
+            pinned = []
+            with monkeypatch.context() as m:
+                m.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.extend(cpus))
+                for _ in range(processes):
+                    initializer(*initargs)
+            pools.append((processes, pinned))
+
+        def map(self, func, iterable, chunksize):
+            items = list(iterable)
+            chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
+            order = list(range(len(chunks)))
+            random.Random(len(items)).shuffle(order)
+            done = {i: list(map(func, chunks[i])) for i in order}
+            return [result for i in range(len(chunks)) for result in done[i]]
+
+        def terminate(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return pools
+
+
 @pytest.fixture(scope="module")
 def small_report():
     return list(run_tables(**SMALL))
@@ -161,31 +198,96 @@ def test_jobs_do_not_change_report():
 
 @pytest.mark.parametrize(
     "jobs, cpus, workers",
-    [(100_000, 3, 3), (2, 3, 2), (8, None, None), (1, 4, None)],
-    ids=["capped", "below-cap", "cpu-count-unknown", "serial"],
+    [
+        (100_000, {0, 1, 2}, 3),
+        (2, {0, 1, 2}, 2),
+        (2, {1}, None),
+        (8, 3, 3),
+        (8, None, None),
+        (1, {0, 1, 2, 3}, None),
+    ],
+    ids=["capped", "below-cap", "one-usable-cpu", "no-affinity", "cpu-count-unknown", "serial"],
 )
-def test_pool_size_is_capped_at_cpu_count(monkeypatch, jobs, cpus, workers):
-    # a fake pool runs the chain in this process, so no worker is started
-    import multiprocessing
-
-    started = []
-
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def map(self, func, iterable, chunksize=1):
-            return list(map(func, iterable))
-
-        def terminate(self):
-            pass
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+def test_pool_size_is_capped_at_cpu_count(monkeypatch, fake_pool, jobs, cpus, workers):
+    # the cap is the CPUs this process may run on (a set), or where the
+    # platform cannot tell, the CPU count (a number or None)
+    if isinstance(cpus, set):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     config = dict(tables=(1,), param_range=(0, 0), symmetries="id")
     got = report_tsv(run_tables(**config, jobs=jobs))
-    assert started == ([] if workers is None else [workers])
+    assert fake_pool == ([] if workers is None else [(workers, list(range(workers)))])
     assert got == report_tsv(run_tables(**config, jobs=1))
+
+
+def test_more_workers_than_this_host_has_keep_the_bytes(monkeypatch, fake_pool):
+    # eight workers whatever this host has: each pinned to its own CPU, and
+    # their chunks finished out of order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 6, 5, 4, 3, 2, 1, 0})
+    for mirror in (False, True):
+        config = dict(tables=(1,), param_range=(-1, 1), symmetries="all", mirror=mirror)
+        rows = list(run_tables(**config, jobs=8))
+        assert (report_tsv(rows), report_json(rows)) == reference_reports(mirror)
+    assert fake_pool == [(8, list(range(8)))] * 2
+
+
+def test_pinning_hands_out_cpus_in_turn_and_never_waits(monkeypatch):
+    pinned = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append((pid, cpus)))
+    counter = multiprocessing.Value("i", 0)
+    cpus = [2, 5, 7]
+    for _ in cpus:
+        pipeline._pin_worker(counter, cpus)
+    assert pinned == [(0, {2}), (0, {5}), (0, {7})]
+
+    # a replacement worker comes after the first ones; its pin fails here
+    def refuse(pid, cpus):
+        pinned.append((pid, cpus))
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    errors = []
+
+    def replacement():
+        try:
+            pipeline._pin_worker(counter, cpus)
+        except Exception as exc:
+            errors.append(exc)
+
+    late = threading.Thread(target=replacement)
+    late.start()
+    late.join(timeout=10)
+    assert not late.is_alive() and errors == []
+    assert pinned[-1] == (0, {2})
+    # and where the platform has no affinity calls, nothing is pinned
+    monkeypatch.delattr(os, "sched_setaffinity")
+    pipeline._pin_worker(counter, cpus)
+    assert counter.value == 5
+
+
+def test_failed_pins_neither_hang_nor_change_the_report():
+    # a real pool of two workers, forked from a parent whose every pin
+    # fails; a pool that restarts its workers for ever shows as a timeout
+    code = (
+        "import os, sys\n"
+        "def refuse(pid, cpus):\n"
+        "    os.write(2, b'refused\\n')\n"
+        "    raise OSError(22, 'Invalid argument')\n"
+        "os.sched_setaffinity = refuse\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from artinhexa.pipeline import report_tsv, run_tables\n"
+        "rows = run_tables(tables=(1,), param_range=(-1, 1), symmetries='all', jobs=2)\n"
+        "sys.stdout.write(report_tsv(rows))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pipeline.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stderr.split() == ["refused"] * 2
+    assert out.stdout == reference_reports(False)[0]
 
 
 def test_first_row_runs_the_chain_on_one_block(monkeypatch, chain_calls):
@@ -207,6 +309,9 @@ def test_cache_eviction_keeps_the_bytes(monkeypatch, chain_calls):
     rows = list(run_tables(**config, jobs=1))
     assert (report_tsv(rows), report_json(rows)) == reference_reports(True)
     assert len(chain_calls) > len(set(chain_calls)) == 632
+    # and with a pool, whose workers' chain calls are not counted here
+    rows = list(run_tables(**config, jobs=2))
+    assert (report_tsv(rows), report_json(rows)) == reference_reports(True)
 
 
 def test_chain_runs_once_per_distinct_filling(monkeypatch):
@@ -352,12 +457,15 @@ def test_unknown_symmetry_mode_rejected():
         dict(tables=(1, 9)),
         dict(param_range=(2, 1)),
         dict(tables=(1, 1)),
+        dict(jobs=0),
+        dict(budget=-1),
     ],
-    ids=["symmetries", "table", "range", "repeated-table"],
+    ids=["symmetries", "table", "range", "repeated-table", "jobs", "budget"],
 )
 def test_bad_arguments_raise_before_any_row(kwargs):
     # the tasks and rows are lazy, but their arguments are checked on call
-    with pytest.raises(ValueError):
-        build_tasks(**kwargs)
+    if not {"jobs", "budget"} & kwargs.keys():
+        with pytest.raises(ValueError):
+            build_tasks(**kwargs)
     with pytest.raises(ValueError):
         run_tables(**kwargs)

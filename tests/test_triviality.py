@@ -157,6 +157,10 @@ def test_simplify_budget_exhaustion_is_unknown():
     verdict = simplify(p, budget=2)
     assert verdict.tag == "Unknown"
     assert verdict.budget_spent == 2
+    verdict = simplify(p, budget=0)
+    assert (verdict.tag, verdict.budget_spent) == ("Unknown", 0)
+    with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+        simplify(p, budget=-1)
 
 
 def test_simplify_never_trivial_with_nontrivial_homology():
