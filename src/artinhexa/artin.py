@@ -38,9 +38,6 @@ class Presentation:
     def serialized_relators(self) -> tuple[str, ...]:
         return tuple(serialize_word(r) for r in self.relators)
 
-    def __str__(self) -> str:
-        return "; ".join(self.serialized_relators())
-
 
 @dataclass(frozen=True, slots=True)
 class ArtinCheck:

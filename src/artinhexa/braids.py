@@ -31,9 +31,6 @@ class PureBraid:
     blocks: tuple[tuple[int, int], ...] = ()
     twist: int = 0
 
-    def __str__(self) -> str:
-        return f"{format_blocks(self.blocks)} --twist {self.twist}"
-
 
 @dataclass(frozen=True, slots=True)
 class BraidClass:
@@ -53,7 +50,7 @@ def _cyclic_blocks(blocks: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], 
     zero runs are also merged across the wrap-around, which is a conjugation
     of the braid."""
     word = reduce_word((gen, exp) for e, f in blocks for gen, exp in ((1, e), (2, f)))
-    syls = cyclic_reduce(word)[0].syllables
+    syls = cyclic_reduce(word).syllables
     if len(syls) == 1:
         gen, exp = syls[0]
         return ((exp, 0),) if gen == 1 else ((0, exp),)

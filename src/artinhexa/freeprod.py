@@ -61,12 +61,6 @@ class FPWord:
     def __invert__(self) -> "FPWord":
         return fp_invert(self)
 
-    def __pow__(self, k: int) -> "FPWord":
-        return fp_power(self, k)
-
-    def __bool__(self) -> bool:
-        return bool(self.syllables)
-
     def __len__(self) -> int:
         return len(self.syllables)
 

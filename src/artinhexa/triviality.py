@@ -107,12 +107,7 @@ class TrivialityVerdict:
 
 
 def _canonical(relators: Iterable[Word]) -> list[Word]:
-    out = []
-    for r in relators:
-        core = cyclic_reduce(r)[0]
-        if core:
-            out.append(core)
-    return out
+    return [core for core in map(cyclic_reduce, relators) if core]
 
 
 def _eliminate(relators: list[Word], rel_index: int, gen: int, repl: Word) -> list[Word]:
@@ -155,11 +150,17 @@ def _relator_index(relators: list[Word], k: int) -> int:
 def apply_move(rank: int, relators: list[Word], move: Move) -> tuple[int, list[Word]]:
     """The ``(rank, relators)`` after one Tietze move; ``relators`` is left
     as it is.  Refuses with ``ValueError`` any move that is not legal on
-    them: a relator index out of range, a ``kill`` of a relator other than
-    the bare ``x_gen^+-1``, a ``subst`` of a generator that is not solvable,
-    or a ``mult`` of a relator by itself, with a sign other than +-1 or a
+    them: an empty move or one of the wrong length for its kind, a relator
+    index out of range, a ``kill`` of a relator other than the bare
+    ``x_gen^+-1``, a ``subst`` of a generator that is not solvable, or a
+    ``mult`` of a relator by itself, with a sign other than +-1 or a
     rotation outside its syllables."""
-    kind = move[0]
+    kind = move[0] if move else None
+    size = {"reduce": 1, "kill": 3, "subst": 3, "mult": 5}.get(kind)
+    if move and size is None:
+        raise ValueError(f"unknown move {move!r}")
+    if len(move) != size:
+        raise ValueError(f"malformed move {move!r}")
     if kind == "reduce":
         return rank, _canonical(relators)
     if kind in ("kill", "subst"):
@@ -169,17 +170,15 @@ def apply_move(rank: int, relators: list[Word], move: Move) -> tuple[int, list[W
         if kind == "kill" and relator.syllables not in (((gen, 1),), ((gen, -1),)):
             raise ValueError(f"relator {rel_index} is not x{gen}^+-1")
         return rank - 1, _eliminate(relators, rel_index, gen, _solve(relator, gen))
-    if kind == "mult":
-        _, i, j, sign, rot = move
-        syls = relators[_relator_index(relators, i)].syllables
-        other = relators[_relator_index(relators, j)]
-        if i == j or sign not in (1, -1) or not 0 <= rot < len(syls):
-            raise ValueError(f"illegal multiplication move {move!r}")
-        if sign == -1:
-            other = invert(other)
-        pairs = syls[rot:] + syls[:rot] + other.syllables
-        return rank, [*relators[:i], _word(_reduce_syllables(pairs)), *relators[i + 1 :]]
-    raise ValueError(f"unknown move {move!r}")
+    _, i, j, sign, rot = move
+    syls = relators[_relator_index(relators, i)].syllables
+    other = relators[_relator_index(relators, j)]
+    if i == j or sign not in (1, -1) or not 0 <= rot < len(syls):
+        raise ValueError(f"illegal multiplication move {move!r}")
+    if sign == -1:
+        other = invert(other)
+    pairs = syls[rot:] + syls[:rot] + other.syllables
+    return rank, [*relators[:i], _word(_reduce_syllables(pairs)), *relators[i + 1 :]]
 
 
 def replay(pres: Presentation, moves: Iterable[Move]) -> tuple[int, tuple[Word, ...]]:

@@ -186,33 +186,23 @@ def _least_offset(syls: tuple) -> int:
     return min(starts, key=lambda i: syls[i:] + syls[:i], default=0)
 
 
-def cyclic_reduce(w: Word) -> tuple[Word, Word]:
-    """Split ``w`` into its cyclic canonical form and a conjugator.
-
-    The canonical form of a conjugacy class is the lexicographically least
-    rotation (ordering syllables by generator, then exponent) of a
-    cyclically reduced word.  Returns ``(c, t)`` with ``w == t^-1 * c * t``
-    exactly (right conjugation, ``w == conjugate(c, t)``): the rotation
-    offset of the canonicalization is folded into ``t``.  A word that is
-    already canonical comes back as ``(w, IDENTITY)``, the same object
-    ``w``, and nothing is copied.
-    """
+def cyclic_reduce(w: Word) -> Word:
+    """The cyclic canonical form of ``w``: the lexicographically least
+    rotation (ordering syllables by generator, then exponent) of its
+    cyclically reduced core.  A cyclically reduced conjugate is unique up
+    to rotation, so two words are conjugate exactly when their forms are
+    equal.  A word that is already canonical comes back as the same object
+    ``w``, and nothing is copied."""
     syls = w.syllables
-    conj: list[Syllable] = []
     while len(syls) >= 2 and syls[0][0] == syls[-1][0]:
         gen, last_exp = syls[-1]
         merged = syls[0][1] + last_exp
         syls = ((gen, merged),) + syls[1:-1] if merged else syls[1:-1]
-        conj.insert(0, (gen, last_exp))
-    # the first least rotation; its offset is folded into the conjugator so
-    # the exact identity w == conjugate(canonical, t) survives
-    # canonicalization.  The core is cyclically reduced and the conjugator is
-    # a rotation tail of it followed by a suffix of w, so both are reduced.
+    # a rotation of the cyclically reduced core is reduced
     offset = _least_offset(syls)
-    if not (offset or conj):
-        return w, IDENTITY
-    canonical = _word(syls[offset:] + syls[:offset])
-    return canonical, _word((syls[offset:] if offset else ()) + tuple(conj))
+    if not offset and syls is w.syllables:
+        return w
+    return _word(syls[offset:] + syls[:offset])
 
 
 def parse_int(text: str) -> int:

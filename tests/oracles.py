@@ -6,7 +6,8 @@ by comparing canonical forms, and the relator-expression parser reads
 tokens and spells an expression out in one reduction pass.  The tests check
 the program against these plainer constructions: block merging, the
 literal letter expansion of a braid, the Z2 * Z3 torus criterion, right
-conjugation, a character-by-character recursive-descent parser whose
+conjugation, the cyclic canonical form (ends peeled on a plain list, every
+rotation compared), a character-by-character recursive-descent parser whose
 instantiation multiplies reduced powers, and the first versions of the
 Smith form (swap, restart and offender loop), the table-cell parser (a
 term-by-term scanner), the example matcher (every distinct filling's
@@ -35,6 +36,22 @@ from artinhexa.words import Word, _clip, _least_offset, concat, generator, inver
 def conjugate(w: Word, g: Word) -> Word:
     """Right conjugation ``g^-1 * w * g`` (fixed convention)."""
     return concat(invert(g), w, g)
+
+
+def cyclic_canonical(w: Word) -> Word:
+    """The oracle for ``words.cyclic_reduce``: peel the matching ends on a
+    plain list, then take the least of all rotations of the core."""
+    syls = list(w.syllables)
+    while len(syls) >= 2 and syls[0][0] == syls[-1][0]:
+        gen, last_exp = syls.pop()
+        merged = syls[0][1] + last_exp
+        if merged:
+            syls[0] = (gen, merged)
+        else:
+            syls.pop(0)
+    core = tuple(syls)
+    offset = min(range(len(core)), key=lambda i: core[i:] + core[:i], default=0)
+    return Word(core[offset:] + core[:offset])
 
 
 def normalize(b: PureBraid) -> PureBraid:

@@ -27,7 +27,7 @@ from artinhexa.words import (
     reduce_word,
     serialize_word,
 )
-from oracles import conjugate
+from oracles import conjugate, cyclic_canonical
 
 
 def pres(*texts, rank=3):
@@ -237,6 +237,7 @@ def test_replay_rejects_out_of_range_generator():
         (("x1*x2", "x2", "x3"), [("mult", 0, 1, 0, 0)]),
         (("x1*x2", "x2", "x3"), [("mult", 0, 1, 1, 2)]),
         (("x1*x2", "x2", "x3"), [("mult", 0, 1, 1, -1)]),
+        (("x1", "x2", "x3"), [()]),
     ],
 )
 def test_replay_rejects_illegal_moves(relators, moves):
@@ -273,8 +274,12 @@ def test_apply_move_returns_a_new_pair(relators, move, expected):
         (("x1^2", "x2", "x3"), ("mult", 0, 0, -1, 0), "illegal multiplication move ('mult', 0, 0, -1, 0)"),
         (("x1*x2", "x2", "x3"), ("mult", 0, 1, 1, 2), "illegal multiplication move ('mult', 0, 1, 1, 2)"),
         (("x1", "x2", "x3"), ("swap", 0, 1), "unknown move ('swap', 0, 1)"),
+        (("x1", "x2", "x3"), (), "malformed move ()"),
+        (("x1", "x2", "x3"), ("reduce", 1, 2), "malformed move ('reduce', 1, 2)"),
+        (("x1", "x2", "x3"), ("kill", 0, 1, 9), "malformed move ('kill', 0, 1, 9)"),
     ],
-    ids=["index", "kill", "subst", "mult-self", "mult-rotation", "unknown"],
+    ids=["index", "kill", "subst", "mult-self", "mult-rotation", "unknown",
+         "empty", "reduce-too-long", "kill-too-long"],
 )
 def test_apply_move_refuses_illegal_moves(relators, move, message):
     given = [parse_word(t) for t in relators]
@@ -368,27 +373,8 @@ def test_best_mult_matches_candidate_word_reference(
         assert simplify(p).as_json_dict() == verdict, filling
 
 
-def reference_cyclic_reduce(w):
-    """``cyclic_reduce`` without its fast paths: peel the ends on a list copy
-    and compare every rotation."""
-    syls = list(w.syllables)
-    conj = []
-    while len(syls) >= 2 and syls[0][0] == syls[-1][0]:
-        gen, last_exp = syls.pop()
-        merged = syls[0][1] + last_exp
-        if merged:
-            syls[0] = (gen, merged)
-        else:
-            syls.pop(0)
-        conj.insert(0, (gen, last_exp))
-    core = tuple(syls)
-    offset = min(range(len(core)), key=lambda i: core[i:] + core[:i], default=0)
-    canonical = Word(core[offset:] + core[:offset])
-    return canonical, Word((core[offset:] if offset else ()) + tuple(conj))
-
-
 def reference_canonical(relators):
-    return [c for c in (reference_cyclic_reduce(r)[0] for r in relators) if c]
+    return [c for c in map(cyclic_canonical, relators) if c]
 
 
 def reference_eliminate(relators, rel_index, gen, repl):

@@ -18,7 +18,7 @@ from artinhexa.words import (
     reduce_word,
     serialize_word,
 )
-from oracles import conjugate
+from oracles import conjugate, cyclic_canonical
 
 
 # ---- independent letter-level oracle -------------------------------------
@@ -165,25 +165,13 @@ def test_conjugate_convention_is_right_conjugation():
 # ---- cyclic reduction and conjugacy ------------------------------------------
 
 def test_cyclic_reduce_examples():
-    cyc, t = cyclic_reduce(parse_word("x1^-1*x2*x1"))
-    assert cyc == generator(2)
-    assert t == generator(1)
-
-    cyc, t = cyclic_reduce(parse_word("x1*x2"))
-    assert cyc == parse_word("x1*x2")
-    assert t == IDENTITY
-
-    cyc, t = cyclic_reduce(parse_word("x3^-1*x1*x2*x3"))
-    assert cyc == parse_word("x1*x2")
-    assert conjugate(cyc, t) == parse_word("x3^-1*x1*x2*x3")
-
-
-def brute_cyclic_core(letters):
-    # peel-and-reduce oracle on plain letters
-    out = letters_reduce(letters)
-    while len(out) >= 2 and out[0] == -out[-1]:
-        out = out[1:-1]
-    return out
+    assert cyclic_reduce(parse_word("x1^-1*x2*x1")) == generator(2)
+    assert cyclic_reduce(parse_word("x2*x1")) == parse_word("x1*x2")
+    assert cyclic_reduce(parse_word("x3^-1*x1*x2*x3")) == parse_word("x1*x2")
+    assert cyclic_reduce(parse_word("x1*x2*x1^-2")) == parse_word("x1^-1*x2")
+    w = parse_word("x1*x2")
+    assert cyclic_reduce(w) is w
+    assert cyclic_reduce(IDENTITY) is IDENTITY
 
 
 def test_cyclic_reduce_against_peel_oracle():
@@ -191,33 +179,24 @@ def test_cyclic_reduce_against_peel_oracle():
     for _ in range(300):
         letters = [rng.randint(1, 3) * rng.choice([1, -1]) for _ in range(rng.randint(0, 14))]
         w = word_from_letters(letters)
-        core, t = cyclic_reduce(w)
-        # exact decomposition, and the core really is cyclically reduced
-        assert conjugate(core, t) == w
-        syl = core.syllables
-        assert len(syl) <= 1 or syl[0][0] != syl[-1][0]
-        assert len(core) == len(brute_cyclic_core(letters))
+        assert cyclic_reduce(w).syllables == cyclic_canonical(w).syllables
 
 
 def test_cyclic_word_canonical_rotation_invariance():
     rng = random.Random(17)
     for _ in range(200):
         w = reduce_word(random_pairs(rng, 6))
-        cyc, _ = cyclic_reduce(w)
+        cyc = cyclic_reduce(w)
         syls = cyc.syllables
         for k in range(len(syls)):
             rotated = Word(syls[k:] + syls[:k])
-            assert cyclic_reduce(rotated)[0] == cyc
-
-
-def canonical(w):
-    return cyclic_reduce(w)[0]
+            assert cyclic_reduce(rotated) == cyc
 
 
 def test_is_conjugate_examples():
     # conjugacy classes are compared through their cyclic canonical forms
-    assert canonical(parse_word("x1*x2")) == canonical(parse_word("x2*x1"))
-    assert canonical(generator(1)) != canonical(generator(2))
+    assert cyclic_reduce(parse_word("x1*x2")) == cyclic_reduce(parse_word("x2*x1"))
+    assert cyclic_reduce(generator(1)) != cyclic_reduce(generator(2))
 
 
 def test_is_conjugate_explicit_conjugates():
@@ -225,10 +204,10 @@ def test_is_conjugate_explicit_conjugates():
     for _ in range(200):
         w = reduce_word(random_pairs(rng, rng.randint(0, 12)))
         g = reduce_word(random_pairs(rng, rng.randint(0, 12)))
-        assert canonical(conjugate(w, g)) == canonical(w)
+        assert cyclic_reduce(conjugate(w, g)) == cyclic_reduce(w)
         # left-translate of the conjugator changes nothing
         h = reduce_word(random_pairs(rng, 4))
-        assert canonical(conjugate(w, h * g)) == canonical(w)
+        assert cyclic_reduce(conjugate(w, h * g)) == cyclic_reduce(w)
 
 
 # ---- abelianization ------------------------------------------------------------
