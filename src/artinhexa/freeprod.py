@@ -58,9 +58,6 @@ class FPWord:
     def __mul__(self, other: "FPWord") -> "FPWord":
         return fp_concat(self, other)
 
-    def __invert__(self) -> "FPWord":
-        return fp_invert(self)
-
     def __len__(self) -> int:
         return len(self.syllables)
 

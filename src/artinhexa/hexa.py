@@ -326,9 +326,6 @@ class ParamRow:
                 seen.append(cell.var)
         return tuple(seen)
 
-    def printed_cells(self) -> tuple[str, ...]:
-        return tuple(serialize_cell(cell) for cell in self.cells)
-
 
 def instantiate_row(
     row: ParamRow, assignment: Mapping[str, int]

@@ -295,7 +295,7 @@ def match_examples(
             location += f" branch {hit.branch}" if hit.branch else ""
             location += " at " + format_assignment(assignment) if assignment else ""
         out.append(ExampleMatch(
-            table, example.row, example.is_concrete, len(instances), len(hits), location
+            table, example.row, not example.variables(), len(instances), len(hits), location
         ))
     return out
 

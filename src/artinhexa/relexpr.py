@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Mapping, Union
 
 from .hexa import HexError, LinearCell, parse_cell
@@ -68,9 +68,6 @@ class RelatorExpr:
         is the reduced product of the factors' powers."""
         return _word(_reduce_syllables(_spell(self.factors, assignment or {})))
 
-    def __str__(self) -> str:
-        return self.text
-
 
 def _spell(factors: tuple[Factor, ...], assignment: Mapping[str, int]) -> list[Syllable]:
     """The unreduced syllables of ``factors``: a group raised to ``k``
@@ -107,7 +104,7 @@ _NEXT = {
 }
 
 
-@lru_cache(maxsize=1024)
+@cache
 def _gen_factor(digits: str) -> Factor:
     try:
         index = parse_int(digits)
@@ -118,7 +115,7 @@ def _gen_factor(digits: str) -> Factor:
     return Factor(index)
 
 
-@lru_cache(maxsize=1024)
+@cache
 def _exp_cell(text: str) -> LinearCell:
     try:
         cell = parse_cell(text)

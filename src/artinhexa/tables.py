@@ -128,10 +128,6 @@ class ExampleRow:
                     seen.append(v)
         return tuple(seen)
 
-    @property
-    def is_concrete(self) -> bool:
-        return not self.variables()
-
 
 @lru_cache(maxsize=None)
 def load_examples(table: int) -> tuple[ExampleRow, ...]:

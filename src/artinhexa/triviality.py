@@ -150,16 +150,17 @@ def _relator_index(relators: list[Word], k: int) -> int:
 def apply_move(rank: int, relators: list[Word], move: Move) -> tuple[int, list[Word]]:
     """The ``(rank, relators)`` after one Tietze move; ``relators`` is left
     as it is.  Refuses with ``ValueError`` any move that is not legal on
-    them: an empty move or one of the wrong length for its kind, a relator
-    index out of range, a ``kill`` of a relator other than the bare
-    ``x_gen^+-1``, a ``subst`` of a generator that is not solvable, or a
-    ``mult`` of a relator by itself, with a sign other than +-1 or a
-    rotation outside its syllables."""
-    kind = move[0] if move else None
+    them: an empty move, one of the wrong length for its kind or with a
+    field after the kind that is not an ``int``, a relator index out of
+    range, a ``kill`` of a relator other than the bare ``x_gen^+-1``, a
+    ``subst`` of a generator that is not solvable, or a ``mult`` of a
+    relator by itself, with a sign other than +-1 or a rotation outside
+    its syllables."""
+    kind = move[0] if move and isinstance(move[0], str) else None
     size = {"reduce": 1, "kill": 3, "subst": 3, "mult": 5}.get(kind)
     if move and size is None:
         raise ValueError(f"unknown move {move!r}")
-    if len(move) != size:
+    if len(move) != size or any(type(field) is not int for field in move[1:]):
         raise ValueError(f"malformed move {move!r}")
     if kind == "reduce":
         return rank, _canonical(relators)

@@ -71,12 +71,6 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return concat(self, other)
 
-    def __invert__(self) -> "Word":
-        return invert(self)
-
-    def __pow__(self, k: int) -> "Word":
-        return power(self, k)
-
     def __bool__(self) -> bool:
         return bool(self.syllables)
 

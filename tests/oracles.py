@@ -412,7 +412,7 @@ def match_examples(tasks, param_range=(-5, 5)):
                         if assignment:
                             loc += " at " + format_assignment(assignment)
                         first = loc
-            out.append(ExampleMatch(table, example.row, example.is_concrete, total, matched, first))
+            out.append(ExampleMatch(table, example.row, not example.variables(), total, matched, first))
     return out
 
 

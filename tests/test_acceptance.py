@@ -305,7 +305,7 @@ def test_criterion_08_batch_triviality(full_sweep):
                     f"{verdict.tag} divisors {verdict.divisors} "
                     f"relators {pres.serialized_relators()}"
                 )
-                if not example.is_concrete:
+                if example.variables():
                     rates["instances"] += 1
                     rates["trivial"] += verdict.tag == "Trivial"
                 elif label == EX6_ROW12:

@@ -277,9 +277,15 @@ def test_apply_move_returns_a_new_pair(relators, move, expected):
         (("x1", "x2", "x3"), (), "malformed move ()"),
         (("x1", "x2", "x3"), ("reduce", 1, 2), "malformed move ('reduce', 1, 2)"),
         (("x1", "x2", "x3"), ("kill", 0, 1, 9), "malformed move ('kill', 0, 1, 9)"),
+        (("x1", "x2", "x3"), (["kill"], 0, 1), "unknown move (['kill'], 0, 1)"),
+        (("x1", "x2", "x3"), ("kill", "0", 1), "malformed move ('kill', '0', 1)"),
+        (("x1", "x2", "x3"), ("kill", 0, 1.0), "malformed move ('kill', 0, 1.0)"),
+        (("x1", "x2", "x3"), ("kill", True, 1), "malformed move ('kill', True, 1)"),
+        (("x1*x2", "x2", "x3"), ("mult", 0, 1, 1, 0.5), "malformed move ('mult', 0, 1, 1, 0.5)"),
     ],
     ids=["index", "kill", "subst", "mult-self", "mult-rotation", "unknown",
-         "empty", "reduce-too-long", "kill-too-long"],
+         "empty", "reduce-too-long", "kill-too-long", "kind-not-str",
+         "index-str", "gen-float", "index-bool", "rotation-float"],
 )
 def test_apply_move_refuses_illegal_moves(relators, move, message):
     given = [parse_word(t) for t in relators]
