@@ -56,6 +56,26 @@ _X123 = concat(_X1, _X2, _X3)
 MAX_PRESENTATION_SYLLABLES = 2_000_000
 
 
+def check_size(s: SurgeryParams) -> None:
+    """Raise ``PresentationError`` when the bound on the syllable count of
+    ``gen_from_params(s)`` exceeds ``MAX_PRESENTATION_SYLLABLES``."""
+    e, e1, f1 = abs(s.e), abs(s.e1), abs(s.f1)
+    bound = 3 * (e1 * (4 * f1 + 2) + 2 * f1 + 3 * e + 1)
+    if bound > MAX_PRESENTATION_SYLLABLES:
+        raise PresentationError(
+            f"presentation may have {bound} syllables, above the limit {MAX_PRESENTATION_SYLLABLES}"
+        )
+
+
+def linking_matrix(s: SurgeryParams) -> tuple[tuple[int, int, int], ...]:
+    """The exponent-sum matrix of ``gen_from_params(s)``, row i the
+    abelianized ``r_i``, built without any word.  ``K`` abelianizes to
+    (1, 1, 0), so the framings fall on the diagonal and the linking
+    numbers off it; equal relators have equal matrices."""
+    e, e1, f1 = s.e, s.e1, s.f1
+    return ((s.m, e + e1, e), (e + e1, s.n, e + f1), (e, e + f1, s.p))
+
+
 def gen_from_params(s: SurgeryParams) -> Presentation:
     """Presentation of the surgered small closed pure 3-braid.
 
@@ -65,15 +85,9 @@ def gen_from_params(s: SurgeryParams) -> Presentation:
         r2 = x2^(n-e-e1-f1) (x2 x3)^f1 K^e1 (x1 x2 x3)^e
         r3 = x3^(p-e-f1)    (x2 x3)^f1      (x1 x2 x3)^e
 
-    Parameters whose bound on the syllable count exceeds
-    ``MAX_PRESENTATION_SYLLABLES`` raise ``PresentationError``.
+    Parameters that ``check_size`` refuses raise ``PresentationError``.
     """
-    e, e1, f1 = abs(s.e), abs(s.e1), abs(s.f1)
-    bound = 3 * (e1 * (4 * f1 + 2) + 2 * f1 + 3 * e + 1)
-    if bound > MAX_PRESENTATION_SYLLABLES:
-        raise PresentationError(
-            f"presentation may have {bound} syllables, above the limit {MAX_PRESENTATION_SYLLABLES}"
-        )
+    check_size(s)
     x23_f1 = power(_X23, s.f1)
     block = concat(_X1, invert(x23_f1), _X2, x23_f1)
     block_e1 = power(block, s.e1)

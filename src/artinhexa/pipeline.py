@@ -8,7 +8,9 @@ hyperbolicity classification of the associated surgery braid) runs once
 per distinct filling and its cells are shared by every row with that
 filling.  Rows come out in a fixed canonical order whatever the worker
 count, so reports are byte-identical across ``jobs`` settings.
-``match_examples`` compares tasks with the example tables by relators only.
+``match_examples`` compares tasks with the example tables by relators only,
+and builds a presentation only for a filling whose closed-form linking
+matrix equals the exponent-sum matrix of some example instance.
 
 The sweep is streamed: tasks are generated lazily, rows are yielded block
 by block, and the cells of recent fillings are kept in a cache of fixed
@@ -24,7 +26,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .artin import gen_from_hex, verify_artin
+from .artin import check_size, gen_from_hex, gen_from_params, linking_matrix, verify_artin
 from .braids import classify
 from .hexa import HexFilling, HexSymmetry, instantiate_row, to_surgery
 from .tables import (
@@ -36,7 +38,7 @@ from .tables import (
     load_table,
 )
 from .triviality import DEFAULT_BUDGET, simplify
-from .words import serialize_word
+from .words import abelianize, serialize_word
 
 Assignment = tuple[tuple[str, int], ...]
 
@@ -227,32 +229,25 @@ def _rows(tasks, param_range, jobs, budget) -> Iterator[ReportRow]:
 
 def _example_instances(example: ExampleRow, param_range: tuple[int, int]):
     """Concrete relator triples of one printed example row; parametric rows
-    are expanded over the same grid as their source table.  A relator with
-    no variable is serialized once for the row."""
-    fixed = [None if r.variables() else serialize_word(r.instantiate()) for r in example.relators]
+    are expanded over the same grid as their source table.  Each instance
+    comes as its assignment, its serialized triple and its words.  A relator
+    with no variable is instantiated and serialized once for the row."""
+    fixed = [None if r.variables() else r.instantiate() for r in example.relators]
+    texts = [None if w is None else serialize_word(w) for w in fixed]
     for assignment in assignments_for(example.variables(), param_range):
         env = dict(assignment)
-        triple = tuple(
-            text if text is not None else serialize_word(r.instantiate(env))
-            for r, text in zip(example.relators, fixed)
-        )
-        yield assignment, triple
-
-
-def _examples(param_range: tuple[int, int]) -> list[tuple[int, ExampleRow, list]]:
-    return [
-        (table, example, list(_example_instances(example, param_range)))
-        for table in EXAMPLE_TABLES
-        for example in load_examples(table)
-    ]
+        words = [r.instantiate(env) if w is None else w for r, w in zip(example.relators, fixed)]
+        triple = tuple([serialize_word(w) if t is None else t for w, t in zip(words, texts)])
+        yield assignment, triple, words
 
 
 def example_index(param_range: tuple[int, int]) -> dict[tuple[str, str, str], str]:
     """Map reduced relator triples to their example-table coordinates."""
     index: dict[tuple[str, str, str], str] = {}
-    for table, example, instances in _examples(param_range):
-        for _, triple in instances:
-            index.setdefault(triple, f"{table}:{example.row}")
+    for table in EXAMPLE_TABLES:
+        for example in load_examples(table):
+            for _, triple, _ in _example_instances(example, param_range):
+                index.setdefault(triple, f"{table}:{example.row}")
     return index
 
 
@@ -269,20 +264,40 @@ class ExampleMatch:
 def match_examples(
     tasks: Iterable[Task], param_range: tuple[int, int] = (-5, 5)
 ) -> list[ExampleMatch]:
-    """Compare every example-table row against the tasks' relator triples,
-    generated once per distinct filling; the first task with a triple is
-    the one reported.  Concrete rows are matched as printed; parametric
-    rows instance by instance on the shared grid.  Unmatched rows are
-    findings to report, not failures.  The tasks are read as a stream:
-    what is kept is the fillings seen and one task per example triple.
+    """Compare every example-table row against the tasks' relator triples;
+    the first task with a triple is the one reported.  Concrete rows are
+    matched as printed; parametric rows instance by instance on the shared
+    grid.  Unmatched rows are findings to report, not failures.  The tasks
+    are read as a stream: what is kept is the fillings seen and one task per
+    example triple.
+
+    Each distinct filling is size-checked, so an oversized one is refused
+    as in ``run_tables``.  Its triple is generated only when its linking
+    matrix is the exponent-sum matrix of some example instance: equal
+    triples have equal matrices, so no other filling can match.  An
+    instance using a generator above x3 has no such matrix and matches
+    nothing.
     """
-    examples = _examples(param_range)
+    examples = []
+    matrices = set()
+    for table in EXAMPLE_TABLES:
+        for example in load_examples(table):
+            instances = []
+            for assignment, triple, words in _example_instances(example, param_range):
+                instances.append((assignment, triple))
+                if max(w.max_generator() for w in words) <= 3:
+                    matrices.add(tuple(abelianize(w, 3) for w in words))
+            examples.append((table, example, instances))
     first = dict.fromkeys(triple for *_, instances in examples for _, triple in instances)
     seen: set[HexFilling] = set()
     for task in tasks:
-        if task.filling not in seen:
-            seen.add(task.filling)
-            triple = gen_from_hex(task.filling).serialized_relators()
+        if task.filling in seen:
+            continue
+        seen.add(task.filling)
+        params = to_surgery(task.filling)
+        check_size(params)
+        if linking_matrix(params) in matrices:
+            triple = gen_from_params(params).serialized_relators()
             if triple in first and first[triple] is None:
                 first[triple] = task
     out = []

@@ -256,7 +256,8 @@ def example_instances(example, param_range):
     variables = example.variables()
     for assignment in assignments_for(variables, param_range):
         env = dict(assignment)
-        yield assignment, tuple(serialize_word(instantiate(r.factors, env)) for r in relators)
+        words = tuple(instantiate(r.factors, env) for r in relators)
+        yield assignment, tuple(map(serialize_word, words)), words
 
 
 def smith_invariants(rows, width):
@@ -400,7 +401,7 @@ def match_examples(tasks, param_range=(-5, 5)):
             matched = 0
             first = ""
             total = 0
-            for assignment, triple in _example_instances(example, param_range):
+            for assignment, triple, _ in _example_instances(example, param_range):
                 total += 1
                 hit = by_triple.get(triple)
                 if hit is not None:

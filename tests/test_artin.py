@@ -11,9 +11,11 @@ from artinhexa.artin import (
     SurgeryParams,
     gen_from_hex,
     gen_from_params,
+    linking_matrix,
     verify_artin,
 )
 from artinhexa.hexa import HexFilling, to_surgery
+from artinhexa.pipeline import build_tasks
 from artinhexa.words import IDENTITY, abelianize, parse_word, reduce_word
 from hex_oracle import closed_form_relators
 
@@ -159,3 +161,16 @@ def test_gen_from_params_refuses_oversized_presentations(monkeypatch):
     monkeypatch.setattr(artin, "MAX_PRESENTATION_SYLLABLES", syllable_bound(s) - 1)
     with pytest.raises(PresentationError, match="above the limit"):
         gen_from_params(s)
+
+
+def test_linking_matrix_on_every_filling_of_the_match_command():
+    # the distinct fillings of match-examples --tables 1,2,3
+    # --param-range=-1..1 --symmetries all
+    fillings = {task.filling for task in build_tasks((1, 2, 3), (-1, 1), "all")}
+    assert len(fillings) == 2168
+    for h in fillings:
+        matrix = linking_matrix(to_surgery(h))
+        assert matrix == tuple(abelianize(r, 3) for r in gen_from_hex(h).relators)
+        assert matrix == tuple(zip(*matrix))
+        negated = tuple(tuple(-v for v in row) for row in matrix)
+        assert linking_matrix(to_surgery(h.mirror())) == negated

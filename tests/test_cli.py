@@ -6,8 +6,11 @@ import sys
 import pytest
 
 import artinhexa
-from artinhexa import artin, cli, pipeline, triviality
+import oracles
+from artinhexa import artin, cli, pipeline, tables, triviality
 from artinhexa.cli import main
+from artinhexa.hexa import to_surgery
+from artinhexa.words import abelianize
 
 
 def run(capsys, *argv):
@@ -219,6 +222,63 @@ def test_refusal_while_writing_removes_the_partial_file(tmp_path, monkeypatch, c
     code, _, err = run(capsys, *argv, "--out", str(out_path))
     assert code == 1 and "above the limit" in err
     assert not out_path.exists()
+
+
+def test_match_examples_refuses_a_filling_no_example_can_match(tmp_path, monkeypatch, capsys):
+    # match-examples size-checks every new filling, not only those whose
+    # linking matrix is an example's: the first refused one matches none,
+    # and is refused on its own as well as in the run
+    monkeypatch.setattr(artin, "MAX_PRESENTATION_SYLLABLES", 40)
+    for task in pipeline.build_tasks((1,), (-1, 1), "id"):
+        params = to_surgery(task.filling)
+        try:
+            artin.check_size(params)
+        except artin.PresentationError:
+            break
+    else:
+        pytest.fail("no filling is refused")
+    examples = [e for t in tables.EXAMPLE_TABLES for e in tables.load_examples(t)]
+    matrices = {
+        tuple(abelianize(w, 3) for w in words)
+        for example in examples
+        for _, _, words in oracles.example_instances(example, (-1, 1))
+    }
+    assert artin.linking_matrix(params) not in matrices
+    with pytest.raises(artin.PresentationError, match="above the limit"):
+        pipeline.match_examples([task], (-1, 1))
+    out_path = tmp_path / "F"
+    argv = ("match-examples", "--tables", "1", "--symmetries", "id", "--param-range=-1..1")
+    code, _, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 1 and "presentation may have 45 syllables, above the limit 40" in err
+    assert not out_path.exists()
+
+
+def test_match_examples_leaves_an_example_above_x3_unmatched(tmp_path, monkeypatch, capsys):
+    # a copy of the bundled data whose example table 5 row 1 uses x4: that
+    # row matches nothing, and nothing raises
+    argv = ("match-examples", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[1].startswith("5\t1\tconcrete\t1\t1\t")
+    names = [f"table{t}.tsv" for t in tables.PARAM_TABLES] + ["symmetries.tsv"]
+    names += [f"examples{t}.tsv" for t in tables.EXAMPLE_TABLES]
+    for name in names:
+        text = tables.read_data_text(name)
+        if name == "examples5.tsv":
+            assert text.startswith("1\tx1^-1\t")
+            text = text.replace("1\tx1^-1\t", "1\tx1^-1*x4\t", 1)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
+    loaders = (tables.load_table, tables.load_symmetries, tables.load_examples)
+    for loader in loaders:
+        loader.cache_clear()
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        monkeypatch.delenv(tables.DATA_ENV)
+        for loader in loaders:
+            loader.cache_clear()
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "5\t1\tconcrete\t1\t0\t-"
 
 
 @pytest.mark.parametrize(

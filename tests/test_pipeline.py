@@ -389,10 +389,11 @@ def test_match_examples_equals_the_oracle(monkeypatch):
     [
         (build_tasks, dict(param_range=(-1, 1), symmetries="all")),
         (build_tasks, dict(param_range=(0, 0), symmetries="id", mirror=True)),
+        (build_tasks, dict(param_range=(-5, 5), symmetries="id")),
         # report rows are tasks too; the benchmark's traced run passes them
         (run_tables, dict(param_range=(-1, 1), symmetries="all")),
     ],
-    ids=["tasks", "tasks-mirror", "report-rows"],
+    ids=["tasks", "tasks-mirror", "tasks-wide", "report-rows"],
 )
 def test_match_examples_equals_the_reference_matcher(stream, kwargs):
     # the reference holds one task per distinct filling before matching
@@ -404,13 +405,14 @@ def test_match_examples_equals_the_reference_matcher(stream, kwargs):
 
 def test_match_examples_reports_the_first_task_of_a_shared_triple(monkeypatch):
     # distinct fillings of the tables give distinct triples, so the rule is
-    # pinned under a generator that merges fillings equal up to signs
-    def merged(filling):
-        return gen_from_hex(HexFilling(*(abs(v) for v in filling.as_tuple())))
+    # pinned under a surgery map that merges fillings equal up to signs;
+    # the matcher builds its triples from the surgery parameters
+    def absolute(filling):
+        return HexFilling(*(abs(v) for v in filling.as_tuple()))
 
     tasks = list(build_tasks(param_range=(-1, 1), symmetries="all"))
-    monkeypatch.setattr(pipeline, "gen_from_hex", merged)
-    monkeypatch.setattr(oracles, "gen_from_hex", merged)
+    monkeypatch.setattr(pipeline, "to_surgery", lambda filling: to_surgery(absolute(filling)))
+    monkeypatch.setattr(oracles, "gen_from_hex", lambda filling: gen_from_hex(absolute(filling)))
     expected = oracles.match_examples(tasks, (-1, 1))
     assert sum(m.matched for m in expected) > 0
     assert match_examples(tasks, (-1, 1)) == expected
