@@ -143,6 +143,9 @@ def parse_relator_expr(text: str) -> RelatorExpr:
         if kind == _GEN:
             groups[-1].append(_gen_factor(m[_GEN]))
         elif kind == _OPEN:
+            # the expression is walked recursively, one call per level
+            if len(groups) > 100:
+                raise _error("groups nested more than 100 deep", pos, stripped)
             groups.append([])
         elif kind == _CLOSE:
             inner = tuple(groups.pop())

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import artin
 from .artin import Presentation
 from .words import (
     Word,
@@ -111,20 +112,31 @@ def _canonical(relators: Iterable[Word]) -> list[Word]:
 
 
 def _eliminate(relators: list[Word], rel_index: int, gen: int, repl: Word) -> list[Word]:
+    """The relators other than ``rel_index`` with ``repl`` put for
+    ``x_gen``.  Refuses with ``ValueError``, before spelling out a power of
+    ``repl``, when they would then hold more than
+    ``artin.MAX_PRESENTATION_SYLLABLES`` syllables before reduction."""
     # ``gen`` occurs in relator ``rel_index`` (checked by the caller), so it
     # lies in 1..rank; ``repl`` lacks it, so shifting the higher generators
     # down one keeps adjacent generators distinct
     repl = _word(tuple((g - 1 if g > gen else g, e) for g, e in repl.syllables))
+    width = len(repl.syllables)
+    cap = artin.MAX_PRESENTATION_SYLLABLES
     new = []
+    size = 0  # syllables of the finished relators, before reduction
     for k, other in enumerate(relators):
         if k == rel_index:
             continue
         pairs: list[tuple[int, int]] = []
         for g, e in other.syllables:
             if g == gen:
+                # power() spells a word of two or more syllables out |e| times
+                if size + len(pairs) + (width * abs(e) if width > 1 else width) > cap:
+                    raise ValueError(f"substituting for x{gen} builds more than {cap} syllables")
                 pairs.extend(power(repl, e).syllables)
             else:
                 pairs.append((g - 1 if g > gen else g, e))
+        size += len(pairs)
         new.append(_word(_reduce_syllables(pairs)))
     return new
 
@@ -153,7 +165,8 @@ def apply_move(rank: int, relators: list[Word], move: Move) -> tuple[int, list[W
     them: an empty move, one of the wrong length for its kind or with a
     field after the kind that is not an ``int``, a relator index out of
     range, a ``kill`` of a relator other than the bare ``x_gen^+-1``, a
-    ``subst`` of a generator that is not solvable, or a ``mult`` of a
+    ``subst`` of a generator that is not solvable or whose result would be
+    too large (see ``_eliminate``), or a ``mult`` of a
     relator by itself, with a sign other than +-1 or a rotation outside
     its syllables."""
     kind = move[0] if move and isinstance(move[0], str) else None

@@ -171,13 +171,25 @@ def abelianize(w: Word, rank: int) -> tuple[int, ...]:
 
 def _least_offset(syls: tuple) -> int:
     """Offset of the first lexicographically least rotation of ``syls`` (of
-    any comparable syllables).  Only an offset holding a least syllable can
-    start it, so rotations are compared only when it occurs more than once."""
-    least = min(syls, default=None)
-    if syls.count(least) == 1:
-        return syls.index(least)
-    starts = [i for i, s in enumerate(syls) if s == least]
-    return min(starts, key=lambda i: syls[i:] + syls[:i], default=0)
+    any comparable syllables), in at most ``4 * len(syls)`` comparisons.
+    Two candidates ``i < j`` are kept, every other start below ``j`` being
+    ruled out.  Where their rotations first differ, ``k`` places in, the
+    start of the larger one and the ``k`` starts after it are ruled out:
+    each is beaten by the start as far into the smaller one."""
+    n = len(syls)
+    i, j = 0, 1
+    while j < n:
+        k = 0
+        while syls[(i + k) % n] == syls[(j + k) % n]:
+            k += 1
+            if k == n:  # period j - i: every start repeats one in i..j-1
+                return i
+        if syls[(i + k) % n] < syls[(j + k) % n]:
+            j += k + 1
+        else:
+            i = max(j, i + k + 1)
+            j = i + 1
+    return i
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -188,15 +200,22 @@ def cyclic_reduce(w: Word) -> Word:
     equal.  A word that is already canonical comes back as the same object
     ``w``, and nothing is copied."""
     syls = w.syllables
-    while len(syls) >= 2 and syls[0][0] == syls[-1][0]:
-        gen, last_exp = syls[-1]
-        merged = syls[0][1] + last_exp
-        syls = ((gen, merged),) + syls[1:-1] if merged else syls[1:-1]
+    lo, hi = 0, len(syls) - 1
+    while lo < hi and syls[lo][0] == syls[hi][0] and syls[lo][1] == -syls[hi][1]:
+        lo += 1
+        hi -= 1
+    if lo < hi and syls[lo][0] == syls[hi][0]:
+        # the ends merge into one syllable; syls[hi - 1], now before it
+        # cyclically, has another generator, so the peel ends here
+        gen, exp = syls[lo]
+        core = ((gen, exp + syls[hi][1]),) + syls[lo + 1 : hi]
+    else:
+        core = syls[lo : hi + 1] if lo else syls
     # a rotation of the cyclically reduced core is reduced
-    offset = _least_offset(syls)
-    if not offset and syls is w.syllables:
+    offset = _least_offset(core)
+    if not offset and core is syls:
         return w
-    return _word(syls[offset:] + syls[:offset])
+    return _word(core[offset:] + core[:offset])
 
 
 def parse_int(text: str) -> int:

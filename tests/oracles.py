@@ -30,7 +30,7 @@ from artinhexa.hexa import SLOTS, CellSyntaxError, HexError, LinearCell
 from artinhexa.pipeline import ExampleMatch, _example_instances, assignments_for, format_assignment
 from artinhexa.relexpr import Factor, RelatorExpr, RelatorExprError
 from artinhexa.tables import EXAMPLE_TABLES, load_examples
-from artinhexa.words import Word, _clip, _least_offset, concat, generator, invert, parse_int, power, serialize_word
+from artinhexa.words import Word, _clip, concat, generator, invert, parse_int, power, serialize_word
 
 
 def conjugate(w: Word, g: Word) -> Word:
@@ -88,13 +88,12 @@ def to_braid_word(b: PureBraid) -> tuple[int, ...]:
 
 def fp_cyclic_reduce(w: FPWord) -> FPWord:
     """Cyclic normal form: merge wrap-around same-factor syllables, then
-    rotate to the canonical (least) representative."""
+    take the least of all rotations."""
     syls = w.syllables
     while len(syls) >= 2 and (syls[0] == D_SYL) == (syls[-1] == D_SYL):
         merged = 0 if syls[0] == D_SYL else (syls[0] + syls[-1]) % 3  # D*D = 1
         syls = (merged,) + syls[1:-1] if merged else syls[1:-1]
-    offset = _least_offset(syls)
-    return FPWord(syls[offset:] + syls[:offset])
+    return FPWord(min((syls[i:] + syls[:i] for i in range(len(syls))), default=()))
 
 
 @dataclass(frozen=True, slots=True)

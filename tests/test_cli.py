@@ -253,32 +253,78 @@ def test_match_examples_refuses_a_filling_no_example_can_match(tmp_path, monkeyp
     assert not out_path.exists()
 
 
-def test_match_examples_leaves_an_example_above_x3_unmatched(tmp_path, monkeypatch, capsys):
-    # a copy of the bundled data whose example table 5 row 1 uses x4: that
-    # row matches nothing, and nothing raises
-    argv = ("match-examples", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and out.splitlines()[1].startswith("5\t1\tconcrete\t1\t1\t")
+def run_on_data(tmp_path, monkeypatch, capsys, argv, old, new):
+    """Run the command on a copy of the bundled data whose example table 5
+    has its first ``old`` replaced by ``new``."""
     names = [f"table{t}.tsv" for t in tables.PARAM_TABLES] + ["symmetries.tsv"]
     names += [f"examples{t}.tsv" for t in tables.EXAMPLE_TABLES]
     for name in names:
         text = tables.read_data_text(name)
         if name == "examples5.tsv":
-            assert text.startswith("1\tx1^-1\t")
-            text = text.replace("1\tx1^-1\t", "1\tx1^-1*x4\t", 1)
+            assert old in text
+            text = text.replace(old, new, 1)
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
     loaders = (tables.load_table, tables.load_symmetries, tables.load_examples)
     for loader in loaders:
         loader.cache_clear()
     try:
-        code, out, err = run(capsys, *argv)
+        return run(capsys, *argv)
     finally:
         monkeypatch.delenv(tables.DATA_ENV)
         for loader in loaders:
             loader.cache_clear()
+
+
+def test_match_examples_leaves_an_example_above_x3_unmatched(tmp_path, monkeypatch, capsys):
+    # example table 5 row 1 using x4 matches nothing, and nothing raises
+    argv = ("match-examples", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[1].startswith("5\t1\tconcrete\t1\t1\t")
+    code, out, err = run_on_data(tmp_path, monkeypatch, capsys, argv, "1\tx1^-1\t", "1\tx1^-1*x4\t")
     assert code == 0 and err == ""
     assert out.splitlines()[1] == "5\t1\tconcrete\t1\t0\t-"
+
+
+def test_match_examples_refuses_a_deeply_nested_example(tmp_path, monkeypatch, capsys):
+    nested = "(" * 3000 + "x1^-1" + ")" * 3000
+    argv = ("match-examples", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
+    code, out, err = run_on_data(tmp_path, monkeypatch, capsys, argv, "1\tx1^-1\t", f"1\t{nested}\t")
+    assert code == 1 and out == ""
+    assert err.startswith("error: groups nested more than 100 deep at position 100 ")
+    assert err.count("\n") == 1
+
+
+# each is slow only in cyclic_reduce, once quadratic in the word length: the
+# peel copied the conjugate once per peeled syllable, and the least rotation
+# compared whole rotations from each place of the least syllable, which
+# recurs 10^5 times once the first move turns x1^100000 into a power
+LONG_INPUTS = {
+    "long-power": ["x1*x2*x3^2*x2", "x1^100000*x3", "x2*x3"],
+    "long-conjugate": ["*".join(["x1*x2"] * 80_000 + ["x3"] + ["x2^-1*x1^-1"] * 80_000), "x1", "x2"],
+}
+
+
+@pytest.mark.parametrize("name", LONG_INPUTS)
+def test_simplify_is_quick_on_long_words(tmp_path, name):
+    path = tmp_path / "pres.txt"
+    path.write_text("\n".join(["rank 3", *LONG_INPUTS[name]]) + "\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "artinhexa.cli", "simplify", "--file", str(path)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert json.loads(out.stdout)["tag"] == "Trivial"
+
+
+def test_simplify_refuses_a_substitution_above_the_syllable_cap(tmp_path, monkeypatch, capsys):
+    # the first move puts x2^-1*x3^-2*x2^-1 for x1, so x1^1000 would be
+    # spelled out as 3000 syllables (3*10^9 for x1^1000000000 at the real cap)
+    monkeypatch.setattr(artin, "MAX_PRESENTATION_SYLLABLES", 2000)
+    path = tmp_path / "pres.txt"
+    path.write_text("rank 3\nx1*x2*x3^2*x2\nx1^1000*x3\nx2*x3\n")
+    code, out, err = run(capsys, "simplify", "--file", str(path))
+    assert (code, out, err) == (1, "", "error: substituting for x1 builds more than 2000 syllables\n")
 
 
 @pytest.mark.parametrize(

@@ -67,6 +67,13 @@ def test_parse_errors():
             parse_relator_expr(bad)
 
 
+def test_nesting_deeper_than_100_groups_is_refused():
+    # instantiation and variables() recurse once per level of nesting
+    assert inst("(" * 100 + "x1" + ")" * 100) == "x1"
+    with pytest.raises(RelatorExprError, match="^groups nested more than 100 deep at position 100 "):
+        parse_relator_expr("(" * 101 + "x1" + ")" * 101)
+
+
 def test_whitespace_tolerated():
     assert inst(" x1 * ( x2 * x3 ) ^ 2 ") == "x1*x2*x3*x2*x3"
 

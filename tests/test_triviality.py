@@ -295,6 +295,18 @@ def test_apply_move_refuses_illegal_moves(relators, move, message):
     assert given == before
 
 
+def test_subst_refuses_a_result_above_the_syllable_cap(monkeypatch):
+    # x1 = x3^-1*x2^-1, which is x2^-1*x1^-1 once x3 and x2 move down, so
+    # the other relators spell out to 1 + 14 syllables before reduction
+    given = [parse_word(t) for t in ("x1*x2*x3", "x2", "x1^7")]
+    monkeypatch.setattr(triviality.artin, "MAX_PRESENTATION_SYLLABLES", 15)
+    rank, out = apply_move(3, given, ("subst", 0, 1))
+    assert (rank, [serialize_word(w) for w in out]) == (2, ["x1", "*".join(["x2^-1*x1^-1"] * 7)])
+    monkeypatch.setattr(triviality.artin, "MAX_PRESENTATION_SYLLABLES", 14)
+    with pytest.raises(ValueError, match="^substituting for x1 builds more than 14 syllables$"):
+        apply_move(3, given, ("subst", 0, 1))
+
+
 def test_every_emitted_log_replays():
     # logs of every verdict, not only Trivial ones, consist of legal moves
     fillings = dict.fromkeys(t.filling for t in build_tasks((1, 2, 3), (-1, 1), "id"))

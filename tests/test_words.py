@@ -7,6 +7,7 @@ from artinhexa.words import (
     Word,
     WordError,
     WordSyntaxError,
+    _least_offset,
     abelianize,
     concat,
     cyclic_reduce,
@@ -180,6 +181,39 @@ def test_cyclic_reduce_against_peel_oracle():
         letters = [rng.randint(1, 3) * rng.choice([1, -1]) for _ in range(rng.randint(0, 14))]
         w = word_from_letters(letters)
         assert cyclic_reduce(w).syllables == cyclic_canonical(w).syllables
+
+
+@pytest.mark.parametrize(
+    "values, offset",
+    [([2, 1, 1] * 10_000, 1), ([1] * 29_997 + [2, 1, 1], 29_998)],
+    ids=["periodic", "one-break"],
+)
+def test_least_offset_makes_linearly_many_comparisons(values, offset):
+    # the least item recurs at least 2*10^4 times: comparing whole rotations
+    # from each of its places would take on the order of 10^8 comparisons
+    budget = [4 * len(values)]
+
+    class Counted:
+        __slots__ = ("value",)
+        __hash__ = None
+
+        def __init__(self, value):
+            self.value = value
+
+        def _spend(self):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise AssertionError("more than 4 comparisons per item")
+
+        def __eq__(self, other):
+            self._spend()
+            return self.value == other.value
+
+        def __lt__(self, other):
+            self._spend()
+            return self.value < other.value
+
+    assert _least_offset(tuple(map(Counted, values))) == offset
 
 
 def test_cyclic_word_canonical_rotation_invariance():
