@@ -15,7 +15,7 @@ from functools import lru_cache
 from importlib.resources import files
 
 from .hexa import SLOTS, HexError, HexSymmetry, ParamRow, parse_cell
-from .relexpr import RelatorExpr, parse_relator_expr
+from .relexpr import RelatorExpr, RelatorExprError, parse_relator_expr
 from .words import _clip, parse_int
 
 DATA_ENV = "ARTINHEXA_DATA"
@@ -133,8 +133,13 @@ class ExampleRow:
 def load_examples(table: int) -> tuple[ExampleRow, ...]:
     if table not in EXAMPLE_TABLES:
         raise TableError(f"no example table {table}")
-    _, rows = _read(f"examples{table}.tsv", 3, header=False)
-    return tuple(
-        ExampleRow(table, number, tuple(parse_relator_expr(c) for c in cells))
-        for number, cells in rows
-    )
+    name = f"examples{table}.tsv"
+    _, rows = _read(name, 3, header=False)
+    examples = []
+    for number, cells in rows:
+        try:
+            relators = tuple(parse_relator_expr(c) for c in cells)
+        except RelatorExprError as exc:
+            raise TableError(f"{name} row {number}: {exc}") from exc
+        examples.append(ExampleRow(table, number, relators))
+    return tuple(examples)

@@ -130,7 +130,7 @@ def _eliminate(relators: list[Word], rel_index: int, gen: int, repl: Word) -> li
         pairs: list[tuple[int, int]] = []
         for g, e in other.syllables:
             if g == gen:
-                # power() spells a word of two or more syllables out |e| times
+                # power(repl, e) has at most width * |e| syllables
                 if size + len(pairs) + (width * abs(e) if width > 1 else width) > cap:
                     raise ValueError(f"substituting for x{gen} builds more than {cap} syllables")
                 pairs.extend(power(repl, e).syllables)

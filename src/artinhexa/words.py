@@ -3,8 +3,10 @@
 Words are kept in syllable (run-length) form: a sequence of
 ``(generator, exponent)`` pairs with nonzero exponents and distinct adjacent
 generators.  Generators are numbered from 1.  All values are immutable and
-every operation is a pure function, so everything here is safe to use from
-many threads without synchronization.
+every public operation is a pure function, so everything here is safe to use
+from many threads without synchronization.  The one exception is the private
+``_join``, which extends the list it is given in place; its callers own that
+list.
 """
 
 from __future__ import annotations
@@ -93,8 +95,9 @@ _set_syllables = Word.syllables.__set__
 
 def _word(syllables: tuple[Syllable, ...]) -> Word:
     """Wrap syllables already known to be freely reduced (results of
-    :func:`_reduce_syllables`, inverses, rotations of cyclically reduced
-    words), skipping the validation the public constructor runs."""
+    :func:`_reduce_syllables`, products built by :func:`_join`, inverses,
+    rotations of cyclically reduced words), skipping the validation the
+    public constructor runs."""
     w = _new(Word)
     _set_syllables(w, syllables)
     return w
@@ -116,27 +119,74 @@ def reduce_word(pairs: Iterable[Syllable]) -> Word:
     return Word(_reduce_syllables(pairs))
 
 
+def _join(acc: list[Syllable], syllables: tuple[Syllable, ...]) -> None:
+    """Multiply the reduced syllable list ``acc``, in place, by the reduced
+    ``syllables``.  Free reduction acts only at the join: the matching ends
+    cancel, at most one syllable merges, and the rest is one slice."""
+    i, n = 0, len(syllables)
+    while acc and i < n:
+        gen, exp = syllables[i]
+        last_gen, last_exp = acc[-1]
+        if last_gen != gen:
+            break
+        acc.pop()
+        i += 1
+        if last_exp + exp:
+            # the next syllable has another generator: the join is done
+            acc.append((gen, last_exp + exp))
+            break
+    acc.extend(syllables[i:] if i else syllables)
+
+
 def concat(*words: Word) -> Word:
     """Reduced product of words, left to right."""
-    pairs: list[Syllable] = []
+    acc: list[Syllable] = []
     for w in words:
-        pairs.extend(w.syllables)
-    return _word(_reduce_syllables(pairs))
+        _join(acc, w.syllables)
+    return _word(tuple(acc))
 
 
 def invert(w: Word) -> Word:
     return _word(tuple((gen, -exp) for gen, exp in reversed(w.syllables)))
 
 
+def _peel(syls: tuple[Syllable, ...]) -> tuple[int, int]:
+    """``(lo, hi)`` with ``syls[:lo]`` the inverse of ``syls[hi + 1:]`` and
+    ``syls[lo]``, ``syls[hi]`` not mutually inverse: a reduced word is
+    ``u c u^-1`` with ``u = syls[:lo]`` and ``c = syls[lo : hi + 1]``
+    cyclically reduced up to a merge of its two ends."""
+    lo, hi = 0, len(syls) - 1
+    while lo < hi and syls[lo][0] == syls[hi][0] and syls[lo][1] == -syls[hi][1]:
+        lo += 1
+        hi -= 1
+    return lo, hi
+
+
 def power(w: Word, k: int) -> Word:
-    """``w`` multiplied by itself ``k`` times (``invert(w)`` for ``k < 0``),
-    in one reduction pass over the repeated syllables."""
-    if len(w.syllables) == 1:
-        gen, exp = w.syllables[0]
-        return _word(((gen, exp * k),)) if k else IDENTITY
+    """``w`` multiplied by itself ``k`` times (``invert(w)`` ``-k`` times for
+    ``k < 0``).  With ``w = u c u^-1`` and ``c`` cyclically reduced, the
+    result is ``u c^k u^-1``, built by tuple repetition; where the two ends
+    of ``c`` have one generator, their merged syllable repeats with the
+    middle.  The cost is linear in the syllables of the result, not in
+    ``k``."""
     if k < 0:
         w, k = invert(w), -k
-    return _word(_reduce_syllables(w.syllables * k))
+    if k == 1 or not w.syllables:
+        return w
+    if not k:
+        return IDENTITY
+    syls = w.syllables
+    lo, hi = _peel(syls)
+    if lo == hi:
+        gen, exp = syls[lo]
+        return _word(syls[:lo] + ((gen, exp * k),) + syls[hi + 1 :])
+    gen, exp = syls[lo]
+    if gen != syls[hi][0]:
+        return _word(syls[:lo] + syls[lo : hi + 1] * k + syls[hi + 1 :])
+    # c = (gen, a) m (gen, b) with m non-empty and a + b != 0, so
+    # c^k = (gen, a) m [(gen, a + b) m]^(k-1) (gen, b)
+    merged = ((gen, exp + syls[hi][1]),) + syls[lo + 1 : hi]
+    return _word(syls[:hi] + merged * (k - 1) + syls[hi:])
 
 
 def _join_cancellation(
@@ -200,10 +250,7 @@ def cyclic_reduce(w: Word) -> Word:
     equal.  A word that is already canonical comes back as the same object
     ``w``, and nothing is copied."""
     syls = w.syllables
-    lo, hi = 0, len(syls) - 1
-    while lo < hi and syls[lo][0] == syls[hi][0] and syls[lo][1] == -syls[hi][1]:
-        lo += 1
-        hi -= 1
+    lo, hi = _peel(syls)
     if lo < hi and syls[lo][0] == syls[hi][0]:
         # the ends merge into one syllable; syls[hi - 1], now before it
         # cyclically, has another generator, so the peel ends here

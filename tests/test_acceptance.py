@@ -9,6 +9,7 @@ Any other inconsistency fails it as a new finding, and a known finding that
 changes or disappears fails it with its own message.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -385,9 +386,15 @@ def test_criterion_10_open_book_example_satisfies_f():
     assert check.f
 
 
+# sha256 of the full sweep's report, the bytes `run-tables --param-range=-5..5`
+# writes with the default tables and symmetries
+REFERENCE_REPORT_SHA256 = "92f60a7770fcd62dfb92f7dc0aaf8165f61d5320158b50bb9458a20eeeca1f8f"
+
+
 def test_criterion_11_report_determinism_across_jobs(full_sweep):
     a = report_tsv(full_sweep[0])
     b = report_tsv(run_tables(**FULL_SWEEP, jobs=8))
     ok = a == b
     announce(11, ok, f"{a.count(chr(10)) - 1} rows, byte-identical={ok}")
     assert ok
+    assert hashlib.sha256(a.encode("utf-8")).hexdigest() == REFERENCE_REPORT_SHA256

@@ -10,6 +10,7 @@ import oracles
 from artinhexa import artin, cli, pipeline, tables, triviality
 from artinhexa.cli import main
 from artinhexa.hexa import to_surgery
+from artinhexa.relexpr import RelatorExprError
 from artinhexa.words import abelianize
 
 
@@ -253,14 +254,14 @@ def test_match_examples_refuses_a_filling_no_example_can_match(tmp_path, monkeyp
     assert not out_path.exists()
 
 
-def run_on_data(tmp_path, monkeypatch, capsys, argv, old, new):
-    """Run the command on a copy of the bundled data whose example table 5
+def run_on_data(tmp_path, monkeypatch, capsys, argv, old, new, edited="examples5.tsv"):
+    """Run the command on a copy of the bundled data whose file ``edited``
     has its first ``old`` replaced by ``new``."""
     names = [f"table{t}.tsv" for t in tables.PARAM_TABLES] + ["symmetries.tsv"]
     names += [f"examples{t}.tsv" for t in tables.EXAMPLE_TABLES]
     for name in names:
         text = tables.read_data_text(name)
-        if name == "examples5.tsv":
+        if name == edited:
             assert old in text
             text = text.replace(old, new, 1)
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -291,8 +292,28 @@ def test_match_examples_refuses_a_deeply_nested_example(tmp_path, monkeypatch, c
     argv = ("match-examples", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
     code, out, err = run_on_data(tmp_path, monkeypatch, capsys, argv, "1\tx1^-1\t", f"1\t{nested}\t")
     assert code == 1 and out == ""
-    assert err.startswith("error: groups nested more than 100 deep at position 100 ")
+    assert err.startswith("error: examples5.tsv row 1: groups nested more than 100 deep at position 100 ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["match-examples", "run-tables"])
+def test_example_table_errors_name_the_file_and_row(command, tmp_path, monkeypatch, capsys):
+    out_path = tmp_path / "report"
+    argv = (command, "--tables", "1", "--param-range=0..0", "--symmetries", "id", "--out", str(out_path))
+    row4 = "4\tx3^-1*x2^-1*x3*x2*x3\t"
+    code, out, err = run_on_data(
+        tmp_path, monkeypatch, capsys, argv, row4, "4\tx1^(gamma\t", edited="examples6.tsv"
+    )
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err == "error: examples6.tsv row 4: unexpected input at position 2 in 'x1^(gamma'\n"
+    monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
+    tables.load_examples.cache_clear()
+    try:
+        with pytest.raises(tables.TableError) as info:
+            tables.load_examples(6)
+    finally:
+        tables.load_examples.cache_clear()
+    assert isinstance(info.value.__cause__, RelatorExprError)
 
 
 # each is slow only in cyclic_reduce, once quadratic in the word length: the
