@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hexa import HexFilling, SurgeryParams, to_surgery
-from .words import Word, concat, generator, invert, power, serialize_word
+from .words import Word, _join, concat, generator, invert, power, serialize_word
 
 
 class PresentationError(ValueError):
@@ -123,12 +123,12 @@ def verify_artin(pres: Presentation) -> ArtinCheck:
         raise PresentationError(
             f"need {pres.rank} relators to verify, got {len(pres.relators)}"
         )
-    target = concat(*(generator(i) for i in range(1, pres.rank + 1)))
-    w_parts = []
-    f_parts = []
+    target = [(i, 1) for i in range(1, pres.rank + 1)]
+    w, f = [], []
     for i, r in enumerate(pres.relators, start=1):
-        x = generator(i)
-        r_inv = invert(r)
-        w_parts.extend((r_inv, x, r))
-        f_parts.extend((r, x, r_inv))
-    return ArtinCheck(w=concat(*w_parts) == target, f=concat(*f_parts) == target)
+        syls, inv, x = r.syllables, invert(r).syllables, ((i, 1),)
+        for part in (inv, x, syls):
+            _join(w, part)
+        for part in (syls, x, inv):
+            _join(f, part)
+    return ArtinCheck(w=w == target, f=f == target)

@@ -11,8 +11,9 @@ nothing gets silently transposed.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .braids import PureBraid
@@ -61,14 +62,15 @@ class HexSymmetry:
 
     index: int
     sources: tuple[str, ...]
+    _pick: operator.itemgetter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.sources) != sorted(SLOTS):
             raise HexError(f"symmetry {self.index} is not a bijection on slots")
+        object.__setattr__(self, "_pick", operator.itemgetter(*map(_SLOT_INDEX.get, self.sources)))
 
     def apply(self, h: HexFilling) -> HexFilling:
-        old = h.as_tuple()
-        return HexFilling(*(old[_SLOT_INDEX[src]] for src in self.sources))
+        return HexFilling(*self._pick(h.as_tuple()))
 
     def compose(self, other: "HexSymmetry") -> tuple[str, ...]:
         """Sources of `apply other first, then self` (index is not tracked)."""

@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .artin import check_size, gen_from_hex, gen_from_params, linking_matrix, verify_artin
+from .artin import check_size, gen_from_params, linking_matrix, verify_artin
 from .braids import classify
 from .hexa import HexFilling, HexSymmetry, instantiate_row, to_surgery
 from .tables import (
@@ -153,7 +153,8 @@ def _tasks(loaded, param_range, syms, mirror) -> Iterator[Task]:
 def _run_filling(filling: HexFilling, budget: int) -> tuple:
     """The report cells that depend on the filling alone, in ``ReportRow``
     field order from ``relators`` to ``braid_class``."""
-    pres = gen_from_hex(filling)
+    params = to_surgery(filling)
+    pres = gen_from_params(params)
     check = verify_artin(pres)
     verdict = simplify(pres, budget)
     return (
@@ -162,7 +163,7 @@ def _run_filling(filling: HexFilling, budget: int) -> tuple:
         check.f,
         verdict.divisors,
         verdict.tag,
-        str(classify(to_surgery(filling).braid)),
+        str(classify(params.braid)),
     )
 
 
@@ -175,12 +176,13 @@ def run_tables(
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[ReportRow]:
     """The report rows in task order, as an iterator.  The arguments are
-    checked before this returns; the chain runs as the rows are taken."""
+    checked and the example tables read before this returns; the chain runs
+    as the rows are taken."""
     for name, value, low in (("jobs", jobs, 1), ("budget", budget, 0)):
         if value < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
     tasks = build_tasks(tables, param_range, symmetries, mirror)
-    return _rows(tasks, param_range, jobs, budget)
+    return _rows(tasks, example_index(param_range), jobs, budget)
 
 
 def _pin_worker(counter, cpus: list[int]) -> None:
@@ -197,9 +199,8 @@ def _pin_worker(counter, cpus: list[int]) -> None:
         pass
 
 
-def _rows(tasks, param_range, jobs, budget) -> Iterator[ReportRow]:
+def _rows(tasks, index, jobs, budget) -> Iterator[ReportRow]:
     run = functools.partial(_run_filling, budget=budget)
-    index = example_index(param_range)
     cache: dict[HexFilling, tuple] = {}
     try:
         cpus = sorted(os.sched_getaffinity(0))

@@ -18,7 +18,9 @@ from typing import Iterable, Sequence
 from . import artin
 from .artin import Presentation
 from .words import (
+    Syllable,
     Word,
+    _join,
     _join_cancellation,
     _reduce_syllables,
     _word,
@@ -149,14 +151,27 @@ def _solve(relator: Word, gen: int) -> Word:
     if len(positions) != 1 or abs(syls[positions[0]][1]) != 1:
         raise ValueError(f"generator {gen} is not solvable in {relator}")
     i = positions[0]
-    vu = _word(_reduce_syllables(syls[i + 1 :] + syls[:i]))
+    vu = _word(_product(syls[i + 1 :], 0, syls[:i]))
     return vu if syls[i][1] == -1 else invert(vu)
+
+
+def _product(syls: tuple, rot: int, other: tuple) -> tuple[Syllable, ...]:
+    """Syllables of the rotation ``syls[rot:] + syls[:rot]`` times ``other``,
+    all reduced.  Where ``syls`` is not cyclically reduced, the two pieces
+    of the rotation merge or cancel where they meet."""
+    product = list(syls[rot:])
+    _join(product, syls[:rot])
+    _join(product, other)
+    return tuple(product)
 
 
 def _relator_index(relators: list[Word], k: int) -> int:
     if not 0 <= k < len(relators):
         raise ValueError(f"relator index {k} out of range 0..{len(relators) - 1}")
     return k
+
+
+_MOVE_SIZES = {"reduce": 1, "kill": 3, "subst": 3, "mult": 5}
 
 
 def apply_move(rank: int, relators: list[Word], move: Move) -> tuple[int, list[Word]]:
@@ -170,7 +185,7 @@ def apply_move(rank: int, relators: list[Word], move: Move) -> tuple[int, list[W
     relator by itself, with a sign other than +-1 or a rotation outside
     its syllables."""
     kind = move[0] if move and isinstance(move[0], str) else None
-    size = {"reduce": 1, "kill": 3, "subst": 3, "mult": 5}.get(kind)
+    size = _MOVE_SIZES.get(kind)
     if move and size is None:
         raise ValueError(f"unknown move {move!r}")
     if len(move) != size or any(type(field) is not int for field in move[1:]):
@@ -191,8 +206,7 @@ def apply_move(rank: int, relators: list[Word], move: Move) -> tuple[int, list[W
         raise ValueError(f"illegal multiplication move {move!r}")
     if sign == -1:
         other = invert(other)
-    pairs = syls[rot:] + syls[:rot] + other.syllables
-    return rank, [*relators[:i], _word(_reduce_syllables(pairs)), *relators[i + 1 :]]
+    return rank, [*relators[:i], _word(_product(syls, rot, other.syllables)), *relators[i + 1 :]]
 
 
 def replay(pres: Presentation, moves: Iterable[Move]) -> tuple[int, tuple[Word, ...]]:
@@ -211,38 +225,42 @@ def _best_mult(relators: list[Word]) -> Move | None:
 
     The candidate ``rotation(r_i, rot) * r_j^sign`` has letter length
     ``len(r_i) + len(r_j)`` less the letters cancelled at its one join, so
-    its syllables are built only when that length can still win.
+    a shorter candidate wins on its length alone, and syllables are built
+    only to break a tie in length.
     """
     lengths = [len(r) for r in relators]
     signed = [((1, r.syllables), (-1, invert(r).syllables)) for r in relators]
-    best_key = None
+    best = best_syls = None
     for i, ri in enumerate(relators):
         syls = ri.syllables
         n = len(syls)
         doubled = syls + syls
-        # rotation ``rot`` ends in syllable ``rot - 1``; a join cancels only
-        # against a first syllable of the same generator and opposite sign
-        ends: dict[tuple[int, bool], list[int]] = {}
+        # rotation ``rot`` ends in syllable ``rot - 1``
+        ends: dict[Syllable, list[int]] = {}
         for rot in range(n):
-            gen, exp = syls[rot - 1]
-            ends.setdefault((gen, exp > 0), []).append(rot)
+            ends.setdefault(syls[rot - 1], []).append(rot)
         for j, pair in enumerate(signed):
             if j == i:
                 continue
             for sign, other in pair:
                 gen, exp = other[0]
-                for rot in ends.get((gen, exp < 0), ()):
+                # an end (gen, a), a != -exp, cancels 2 * min(|a|, |exp|)
+                # letters: too few to shorten r_i unless 2 * |exp| > len(r_j)
+                rots = range(n) if 2 * abs(exp) > lengths[j] else ends.get((gen, -exp), ())
+                for rot in rots:
                     length = lengths[i] + lengths[j]
                     length -= _join_cancellation(doubled, rot, rot + n, other)
-                    if length >= lengths[i]:
+                    if length >= lengths[i] or best and length > best[0]:
                         continue
-                    if best_key is not None and length > best_key[0]:
+                    if best is None or length < best[0]:
+                        best, best_syls = (length, i, j, sign, rot, other), None
                         continue
-                    cand = _reduce_syllables(doubled[rot : rot + n] + other)
-                    key = (length, cand, i, j, sign, rot)
-                    if best_key is None or key < best_key:
-                        best_key = key
-    return best_key and ("mult", *best_key[2:])
+                    if best_syls is None:
+                        best_syls = _product(relators[best[1]].syllables, *best[4:])
+                    cand = _product(syls, rot, other)
+                    if (cand, i, j, sign, rot) < (best_syls, *best[1:5]):
+                        best, best_syls = (length, i, j, sign, rot, other), cand
+    return best and ("mult", *best[1:5])
 
 
 def simplify(pres: Presentation, budget: int = DEFAULT_BUDGET) -> TrivialityVerdict:

@@ -84,7 +84,8 @@ class Word:
         return sum(abs(exp) for _, exp in self.syllables)
 
     def max_generator(self) -> int:
-        return max((gen for gen, _ in self.syllables), default=0)
+        # syllables order by generator first
+        return max(self.syllables)[0] if self.syllables else 0
 
 
 IDENTITY = Word()
@@ -147,7 +148,7 @@ def concat(*words: Word) -> Word:
 
 
 def invert(w: Word) -> Word:
-    return _word(tuple((gen, -exp) for gen, exp in reversed(w.syllables)))
+    return _word(tuple([(gen, -exp) for gen, exp in reversed(w.syllables)]))
 
 
 def _peel(syls: tuple[Syllable, ...]) -> tuple[int, int]:

@@ -316,6 +316,19 @@ def test_example_table_errors_name_the_file_and_row(command, tmp_path, monkeypat
     assert isinstance(info.value.__cause__, RelatorExprError)
 
 
+def test_run_tables_to_stdout_refuses_a_bad_example_table_before_the_header(
+    tmp_path, monkeypatch, capsys
+):
+    # the example index is built before the report's first line is written
+    argv = ("run-tables", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
+    row4 = "4\tx3^-1*x2^-1*x3*x2*x3\t"
+    code, out, err = run_on_data(
+        tmp_path, monkeypatch, capsys, argv, row4, "4\tx1^(gamma\t", edited="examples6.tsv"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: examples6.tsv row 4: unexpected input at position 2 in 'x1^(gamma'\n"
+
+
 # each is slow only in cyclic_reduce, once quadratic in the word length: the
 # peel copied the conjugate once per peeled syllable, and the least rotation
 # compared whole rotations from each place of the least syllable, which

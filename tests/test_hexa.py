@@ -52,6 +52,23 @@ def test_symmetry_2_is_order_three():
         assert sym2.apply(sym2.apply(sym2.apply(h))) == h
 
 
+def test_symmetries_apply_as_their_slot_names_say():
+    # the Hypothesis import is here so that the rest of this file runs without it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    syms = load_symmetries()
+    assert len(syms) == 24
+
+    @hypothesis.given(st.builds(HexFilling, *[st.integers(-10**6, 10**6)] * 6))
+    @hypothesis.example(HexFilling(1, 2, 3, 4, 5, 6))
+    def check(h):
+        for sym in syms:
+            by_name = {slot: getattr(h, src) for slot, src in zip(SLOTS, sym.sources)}
+            assert sym.apply(h) == HexFilling(**by_name), sym.index
+
+    check()
+
+
 def test_symmetry_must_be_bijection():
     with pytest.raises(HexError):
         HexSymmetry(99, ("alpha",) * 6)

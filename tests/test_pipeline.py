@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from artinhexa import pipeline, triviality
-from artinhexa.artin import gen_from_hex, verify_artin
+from artinhexa.artin import gen_from_hex, gen_from_params, verify_artin
 from artinhexa.braids import classify
 from artinhexa.hexa import HexFilling, to_surgery
 from artinhexa.pipeline import (
@@ -83,14 +83,15 @@ def reference_reports(mirror):
 
 @pytest.fixture
 def chain_calls(monkeypatch):
-    """The fillings sent through the chain, in order."""
+    """The surgery parameters of the fillings sent through the chain, in
+    order; ``to_surgery`` is one-to-one, so they count the fillings."""
     calls = []
 
-    def counting(filling):
-        calls.append(filling)
-        return gen_from_hex(filling)
+    def counting(params):
+        calls.append(params)
+        return gen_from_params(params)
 
-    monkeypatch.setattr(pipeline, "gen_from_hex", counting)
+    monkeypatch.setattr(pipeline, "gen_from_params", counting)
     return calls
 
 
@@ -319,15 +320,15 @@ def test_chain_runs_once_per_distinct_filling(monkeypatch):
     smith_calls = []
     smith_invariants = triviality.smith_invariants
 
-    def counting(filling):
-        calls.append(filling)
-        return gen_from_hex(filling)
+    def counting(params):
+        calls.append(params)
+        return gen_from_params(params)
 
     def counting_smith(rows, width):
         smith_calls.append(rows)
         return smith_invariants(rows, width)
 
-    monkeypatch.setattr(pipeline, "gen_from_hex", counting)
+    monkeypatch.setattr(pipeline, "gen_from_params", counting)
     monkeypatch.setattr(triviality, "smith_invariants", counting_smith)
     rows = list(run_tables(
         tables=(1,), param_range=(-1, 1), symmetries="all", mirror=True, jobs=1,
