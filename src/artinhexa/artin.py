@@ -12,6 +12,7 @@ presentation can satisfy in the free group are checked exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hexa import HexFilling, SurgeryParams, to_surgery
 from .words import Word, _join, concat, generator, invert, power, serialize_word
@@ -39,8 +40,7 @@ class Presentation:
         return tuple(serialize_word(r) for r in self.relators)
 
 
-@dataclass(frozen=True, slots=True)
-class ArtinCheck:
+class ArtinCheck(NamedTuple):
     w: bool
     f: bool
 

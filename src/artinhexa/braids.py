@@ -11,8 +11,7 @@ clause that applied.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .words import _clip, cyclic_reduce, parse_int, reduce_word
 
@@ -26,14 +25,12 @@ class BraidError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class PureBraid:
+class PureBraid(NamedTuple):
     blocks: tuple[tuple[int, int], ...] = ()
     twist: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class BraidClass:
+class BraidClass(NamedTuple):
     """Classification of a closed pure 3-braid; ``clauses`` lists every
     theorem clause that matched, first one deciding the tag."""
 

@@ -14,7 +14,7 @@ import stat
 import sys
 from typing import Iterable
 
-from . import artin, braids, freeprod, hexa, pipeline, tables, triviality, words
+from . import artin, braids, hexa, pipeline, tables, triviality, words
 
 
 # One divisor per declared generator is allocated and printed, so the rank
@@ -117,6 +117,8 @@ def _cmd_classify_braid(args) -> int:
 
 
 def _cmd_rho(args) -> int:
+    from . import freeprod
+
     letters = braids.parse_braid_word(args.braid_word)
     print(freeprod.serialize_fp_word(freeprod.rho(letters)))
     return 0

@@ -14,7 +14,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .braids import PureBraid
 from .words import _clip, parse_int
@@ -31,8 +31,7 @@ class CellSyntaxError(HexError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class HexFilling:
+class HexFilling(NamedTuple):
     alpha: int
     beta: int
     gamma: int
@@ -41,7 +40,7 @@ class HexFilling:
     eta: int
 
     def as_tuple(self) -> tuple[int, ...]:
-        return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon, self.eta)
+        return tuple(self)
 
     def mirror(self) -> "HexFilling":
         """Mirror image: every integral tangle negated.  This negates the
@@ -49,10 +48,10 @@ class HexFilling:
         filling and its mirror also agree on the W identity and the braid
         class, and never get opposite triviality verdicts (pinned by the
         pipeline tests)."""
-        return HexFilling(*(-v for v in self.as_tuple()))
+        return HexFilling(*(-v for v in self))
 
     def __str__(self) -> str:
-        return ",".join(str(v) for v in self.as_tuple())
+        return ",".join(map(str, self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +69,7 @@ class HexSymmetry:
         object.__setattr__(self, "_pick", operator.itemgetter(*map(_SLOT_INDEX.get, self.sources)))
 
     def apply(self, h: HexFilling) -> HexFilling:
-        return HexFilling(*self._pick(h.as_tuple()))
+        return HexFilling(*self._pick(h))
 
     def compose(self, other: "HexSymmetry") -> tuple[str, ...]:
         """Sources of `apply other first, then self` (index is not tracked)."""
@@ -90,11 +89,10 @@ def orbit(
     images = {sym.apply(h) for sym in symmetries}
     if include_mirror:
         images |= {img.mirror() for img in images}
-    return tuple(sorted(images, key=HexFilling.as_tuple))
+    return tuple(sorted(images))
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     distinct: bool
     duplicates: tuple[tuple[int, int], ...]
     has_identity: bool
@@ -196,8 +194,7 @@ def tetrahedral_control() -> tuple[HexSymmetry, ...]:
     return tuple(syms)
 
 
-@dataclass(frozen=True, slots=True)
-class SurgeryParams:
+class SurgeryParams(NamedTuple):
     """Integral framings (m, n, p) on the single-block closed pure 3-braid
     ``Delta^(2e) (sigma1^2)^e1 (sigma2^2)^f1``."""
 
@@ -217,7 +214,7 @@ def to_surgery(h: HexFilling) -> SurgeryParams:
     """Surgery correspondence: the double branched cover of the filling is
     the ``(-a-d-h, -b-d-g-h, -e-g-h)`` surgery on
     ``sigma1^(-2 delta) sigma2^(-2 gamma) Delta^(-2 eta)``."""
-    a, b, g, d, e, h_ = h.as_tuple()
+    a, b, g, d, e, h_ = h
     return SurgeryParams(-a - d - h_, -b - d - g - h_, -e - g - h_, -h_, -d, -g)
 
 

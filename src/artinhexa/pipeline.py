@@ -24,7 +24,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .artin import check_size, gen_from_params, linking_matrix, verify_artin
 from .braids import classify
@@ -51,8 +51,7 @@ BLOCK_TASKS = 4096
 CACHE_FILLINGS = 1 << 16
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     table: int
     row: int
     assignment: Assignment
@@ -63,7 +62,16 @@ class Task:
 
 
 @dataclass(frozen=True)
-class ReportRow(Task):
+class ReportRow:
+    """A task's fields followed by its report cells."""
+
+    table: int
+    row: int
+    assignment: Assignment
+    branch: str
+    symmetry: int
+    mirrored: bool
+    filling: HexFilling
     relators: tuple[str, str, str]
     artin_w: bool
     artin_f: bool
@@ -220,9 +228,11 @@ def _rows(tasks, index, jobs, budget) -> Iterator[ReportRow]:
             for filling, result in zip(todo, results):
                 cache[filling] = (*result, index.get(result[0], ""))
             for task in block:
-                yield ReportRow(*vars(task).values(), *cache[task.filling])
-            while len(cache) > CACHE_FILLINGS:
-                del cache[next(iter(cache))]
+                yield ReportRow(*task, *cache[task.filling])
+            # one pass: deleting the first key again and again rescans the
+            # deleted slots at the front of the dict
+            for filling in list(itertools.islice(cache, max(0, len(cache) - CACHE_FILLINGS))):
+                del cache[filling]
     finally:
         if pool is not None:
             pool.terminate()
@@ -252,8 +262,7 @@ def example_index(param_range: tuple[int, int]) -> dict[tuple[str, str, str], st
     return index
 
 
-@dataclass(frozen=True)
-class ExampleMatch:
+class ExampleMatch(NamedTuple):
     table: int
     row: int
     concrete: bool

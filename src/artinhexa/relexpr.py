@@ -23,9 +23,8 @@ at a variable assignment yields a reduced :class:`~artinhexa.words.Word`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .hexa import HexError, LinearCell, parse_cell
 from .words import Syllable, Word, _clip, _reduce_syllables, _word, parse_int
@@ -38,14 +37,12 @@ class RelatorExprError(ValueError):
 _CONST_ONE = LinearCell(c0=1)
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     base: Union[int, tuple["Factor", ...]]
     exp: LinearCell = _CONST_ONE
 
 
-@dataclass(frozen=True)
-class RelatorExpr:
+class RelatorExpr(NamedTuple):
     factors: tuple[Factor, ...]
     text: str
 

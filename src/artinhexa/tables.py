@@ -10,9 +10,9 @@ canonical slot order happens only at instantiation time.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
+from typing import NamedTuple
 
 from .hexa import SLOTS, HexError, HexSymmetry, ParamRow, parse_cell
 from .relexpr import RelatorExpr, RelatorExprError, parse_relator_expr
@@ -111,8 +111,7 @@ def symmetry_by_index(index: int) -> HexSymmetry:
     raise TableError(f"no symmetry with index {index}")
 
 
-@dataclass(frozen=True)
-class ExampleRow:
+class ExampleRow(NamedTuple):
     """One example-table presentation: three relator expressions, possibly
     with one symbolic exponent variable."""
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import artin
 from .artin import Presentation
@@ -90,8 +89,7 @@ def abelian_invariants(pres: Presentation) -> tuple[int, ...]:
     return tuple(divisors)
 
 
-@dataclass(frozen=True)
-class TrivialityVerdict:
+class TrivialityVerdict(NamedTuple):
     tag: str  # "Trivial" | "NotTrivial" | "Unknown"
     divisors: tuple[int, ...]
     moves: tuple[Move, ...]

@@ -54,7 +54,7 @@ def reference_run_tables(tables, param_range, symmetries, mirror, budget=DEFAULT
     index = example_index(param_range)
     return [
         ReportRow(
-            **vars(task),
+            **task._asdict(),
             **cells[task.filling],
             example_match=index.get(cells[task.filling]["relators"], ""),
         )
@@ -313,6 +313,24 @@ def test_cache_eviction_keeps_the_bytes(monkeypatch, chain_calls):
     # and with a pool, whose workers' chain calls are not counted here
     rows = list(run_tables(**config, jobs=2))
     assert (report_tsv(rows), report_json(rows)) == reference_reports(True)
+
+
+def test_cache_drops_its_oldest_fillings_first(monkeypatch, chain_calls):
+    # the chain calls equal those of a reference cache that drops its first
+    # key one at a time until it is back at its size
+    monkeypatch.setattr(pipeline, "BLOCK_TASKS", 512)
+    monkeypatch.setattr(pipeline, "CACHE_FILLINGS", 16)
+    config = dict(tables=(1,), param_range=(-1, 1), symmetries="all", mirror=True)
+    list(run_tables(**config, jobs=1))
+    fillings = [task.filling for task in build_tasks(**config)]
+    expected, kept = [], {}
+    for start in range(0, len(fillings), 512):
+        new = [f for f in dict.fromkeys(fillings[start:start + 512]) if f not in kept]
+        expected += map(to_surgery, new)
+        kept.update(dict.fromkeys(new))
+        while len(kept) > 16:
+            del kept[next(iter(kept))]
+    assert chain_calls == expected
 
 
 def test_chain_runs_once_per_distinct_filling(monkeypatch):
