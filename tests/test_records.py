@@ -120,13 +120,6 @@ def test_match_examples_reads_report_rows_as_tasks():
     assert any(m.matched for m in by_rows)
 
 
-def test_no_record_reaches_json_as_a_list():
-    verdict = triviality.simplify(PRES, 50)
-    payload = verdict.as_json_dict()
-    assert json.loads(json.dumps(payload)) == payload
-    assert all(type(move) is list for move in payload["moves"])
-
-
 STARTUP = """
 import dataclasses, importlib, json, pkgutil, sys
 import artinhexa.cli
