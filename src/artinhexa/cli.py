@@ -42,14 +42,21 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _load_presentation(path: str) -> artin.Presentation:
     with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    head = lines[0].split() if lines else []
+        lines = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
+    head = lines[0][1].split() if lines else []
     if len(head) != 2 or head[0] != "rank":
         raise ValueError(f"{path}: first line must be 'rank N'")
-    rank = words.parse_int(head[1])
+
+    def parse(n: int, parser, text: str):
+        try:
+            return parser(text)
+        except ValueError as exc:
+            raise ValueError(f"{path} line {n}: {exc}") from exc
+
+    rank = parse(lines[0][0], words.parse_int, head[1])
     if rank > MAX_FILE_RANK:
         raise ValueError(f"{path}: rank {rank} is above the limit {MAX_FILE_RANK}")
-    relators = tuple(words.parse_word(line) for line in lines[1:])
+    relators = tuple(parse(n, words.parse_word, line) for n, line in lines[1:])
     return artin.Presentation(rank, relators)
 
 
@@ -179,7 +186,7 @@ def _report_args(args) -> dict:
 
 
 def _cmd_run_tables(args) -> int:
-    rows = pipeline.run_tables(**_report_args(args), jobs=args.jobs, budget=args.budget)
+    rows = pipeline.run_tables(**_report_args(args), jobs=args.jobs)
     _emit(pipeline.report_lines(rows, as_json=args.json), args.out)
     return 0
 
@@ -255,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-tables", help="batch-verify the parameter tables")
     _add_report_flags(p)
-    p.add_argument("--budget", type=words.parse_int, default=triviality.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_run_tables)
 
     p = sub.add_parser("match-examples", help="match generated presentations against the example tables")

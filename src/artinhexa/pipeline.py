@@ -19,7 +19,6 @@ size, so memory does not grow with the parameter range.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
@@ -37,7 +36,7 @@ from .tables import (
     load_symmetries,
     load_table,
 )
-from .triviality import DEFAULT_BUDGET, simplify
+from .triviality import simplify
 from .words import abelianize, serialize_word
 
 Assignment = tuple[tuple[str, int], ...]
@@ -158,13 +157,13 @@ def _tasks(loaded, param_range, syms, mirror) -> Iterator[Task]:
                             )
 
 
-def _run_filling(filling: HexFilling, budget: int) -> tuple:
+def _run_filling(filling: HexFilling) -> tuple:
     """The report cells that depend on the filling alone, in ``ReportRow``
     field order from ``relators`` to ``braid_class``."""
     params = to_surgery(filling)
     pres = gen_from_params(params)
     check = verify_artin(pres)
-    verdict = simplify(pres, budget)
+    verdict = simplify(pres)
     return (
         pres.serialized_relators(),
         check.w,
@@ -181,16 +180,14 @@ def run_tables(
     symmetries: str = "all",
     mirror: bool = False,
     jobs: int = 1,
-    budget: int = DEFAULT_BUDGET,
 ) -> Iterator[ReportRow]:
     """The report rows in task order, as an iterator.  The arguments are
     checked and the example tables read before this returns; the chain runs
     as the rows are taken."""
-    for name, value, low in (("jobs", jobs, 1), ("budget", budget, 0)):
-        if value < low:
-            raise ValueError(f"{name} must be at least {low}, got {value}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = build_tasks(tables, param_range, symmetries, mirror)
-    return _rows(tasks, example_index(param_range), jobs, budget)
+    return _rows(tasks, example_index(param_range), jobs)
 
 
 def _pin_worker(counter, cpus: list[int]) -> None:
@@ -207,8 +204,7 @@ def _pin_worker(counter, cpus: list[int]) -> None:
         pass
 
 
-def _rows(tasks, index, jobs, budget) -> Iterator[ReportRow]:
-    run = functools.partial(_run_filling, budget=budget)
+def _rows(tasks, index, jobs) -> Iterator[ReportRow]:
     cache: dict[HexFilling, tuple] = {}
     try:
         cpus = sorted(os.sched_getaffinity(0))
@@ -224,7 +220,7 @@ def _rows(tasks, index, jobs, budget) -> Iterator[ReportRow]:
     try:
         while block := list(itertools.islice(tasks, BLOCK_TASKS)):
             todo = [f for f in dict.fromkeys(task.filling for task in block) if f not in cache]
-            results = map(run, todo) if pool is None else pool.map(run, todo, chunksize=64)
+            results = map(_run_filling, todo) if pool is None else pool.map(_run_filling, todo, chunksize=64)
             for filling, result in zip(todo, results):
                 cache[filling] = (*result, index.get(result[0], ""))
             for task in block:

@@ -14,8 +14,8 @@ from functools import lru_cache
 from importlib.resources import files
 from typing import NamedTuple
 
-from .hexa import SLOTS, HexError, HexSymmetry, ParamRow, parse_cell
-from .relexpr import RelatorExpr, RelatorExprError, parse_relator_expr
+from .hexa import SLOTS, HexSymmetry, ParamRow, parse_cell
+from .relexpr import RelatorExpr, parse_relator_expr
 from .words import _clip, parse_int
 
 DATA_ENV = "ARTINHEXA_DATA"
@@ -39,11 +39,11 @@ def read_data_text(name: str) -> str:
     return files("artinhexa").joinpath("data", name).read_text(encoding="utf-8")
 
 
-def _read(
-    name: str, width: int, header: bool = True
-) -> tuple[tuple[str, ...], list[tuple[int, list[str]]]]:
-    """The declared column order (empty without a header line) and the
-    ``(number, cells)`` rows of data file ``name``, ``width`` cells each."""
+def _read(name: str, width: int, build, header: bool = True) -> tuple:
+    """``build(order, number, cells)`` for each row of data file ``name``,
+    where ``order`` is the declared column order (empty without a header
+    line) and each row has its number and ``width`` cells.  An error in a
+    row is raised as a ``TableError`` naming the file and the row."""
     lines = [
         [cell.strip() for cell in line.split("\t")]
         for line in read_data_text(name).splitlines()
@@ -62,10 +62,14 @@ def _read(
         if len(cells) != width + 1:
             raise TableError(f"{name}: expected row number + {width} cells, got {cells}")
         try:
-            rows.append((parse_int(cells[0]), cells[1:]))
+            number = parse_int(cells[0])
         except ValueError:
             raise TableError(f"{name}: bad row number {_clip(cells[0])}") from None
-    return order, rows
+        try:
+            rows.append(build(order, number, cells[1:]))
+        except ValueError as exc:
+            raise TableError(f"{name} row {number}: {exc}") from exc
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -73,10 +77,10 @@ def load_table(table_id: int) -> tuple[ParamRow, ...]:
     """Parameter table 1, 2 or 3 in its printed column order."""
     if table_id not in PARAM_TABLES:
         raise TableError(f"no parameter table {table_id}")
-    order, rows = _read(f"table{table_id}.tsv", 6)
-    return tuple(
-        ParamRow(table_id, number, order, tuple(parse_cell(c) for c in cells))
-        for number, cells in rows
+    return _read(
+        f"table{table_id}.tsv",
+        6,
+        lambda order, number, cells: ParamRow(table_id, number, order, tuple(map(parse_cell, cells))),
     )
 
 
@@ -85,16 +89,11 @@ def load_symmetries() -> tuple[HexSymmetry, ...]:
     """The 24 symmetry assignments, verbatim as shipped (row 1 is the
     identity).  Validation is a separate, explicit step; loading never
     corrects anything."""
-    name = "symmetries.tsv"
-    order, rows = _read(name, 6)
-    syms = []
-    for number, cells in rows:
+    def build(order, number, cells):
         by_slot = dict(zip(order, cells))
-        try:
-            syms.append(HexSymmetry(number, tuple(by_slot[s] for s in SLOTS)))
-        except HexError as exc:
-            raise TableError(f"{name} row {number}: {exc}") from exc
-    return tuple(syms)
+        return HexSymmetry(number, tuple(by_slot[s] for s in SLOTS))
+
+    return _read("symmetries.tsv", 6, build)
 
 
 def identity_symmetry() -> HexSymmetry:
@@ -132,13 +131,9 @@ class ExampleRow(NamedTuple):
 def load_examples(table: int) -> tuple[ExampleRow, ...]:
     if table not in EXAMPLE_TABLES:
         raise TableError(f"no example table {table}")
-    name = f"examples{table}.tsv"
-    _, rows = _read(name, 3, header=False)
-    examples = []
-    for number, cells in rows:
-        try:
-            relators = tuple(parse_relator_expr(c) for c in cells)
-        except RelatorExprError as exc:
-            raise TableError(f"{name} row {number}: {exc}") from exc
-        examples.append(ExampleRow(table, number, relators))
-    return tuple(examples)
+    return _read(
+        f"examples{table}.tsv",
+        3,
+        lambda _, number, cells: ExampleRow(table, number, tuple(map(parse_relator_expr, cells))),
+        header=False,
+    )

@@ -30,6 +30,11 @@ from .words import (
 )
 
 DEFAULT_BUDGET = 100_000
+# Bound on the Smith form's work, rows * rank * min(rows, rank) for an
+# exponent matrix of rows relators by rank generators: each of up to
+# min(rows, rank) pivots scans what is left of the matrix.  A 464 x 464
+# identity matrix (9.99 * 10^7) takes about a second on a 2-vCPU host.
+MAX_SMITH_WORK = 10**8
 
 Move = tuple
 
@@ -82,10 +87,19 @@ def smith_invariants(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ..
 
 def abelian_invariants(pres: Presentation) -> tuple[int, ...]:
     """Divisor chain of the relator exponent matrix, one entry per
-    generator (zeros encode free factors)."""
-    rows = [abelianize(r, pres.rank) for r in pres.relators]
-    divisors = list(smith_invariants(rows, pres.rank))
-    divisors.extend([0] * (pres.rank - len(divisors)))
+    generator (zeros encode free factors).  Refuses with ``ValueError``,
+    before any exponent row is built, a matrix whose Smith form would take
+    more than ``MAX_SMITH_WORK`` steps."""
+    height, rank = len(pres.relators), pres.rank
+    work = height * rank * min(height, rank)
+    if work > MAX_SMITH_WORK:
+        raise ValueError(
+            f"Smith form of {height} relators in {rank} generators takes"
+            f" {height}*{rank}*{min(height, rank)} = {work} steps, above the limit {MAX_SMITH_WORK}"
+        )
+    rows = [abelianize(r, rank) for r in pres.relators]
+    divisors = list(smith_invariants(rows, rank))
+    divisors.extend([0] * (rank - len(divisors)))
     return tuple(divisors)
 
 
@@ -94,16 +108,12 @@ class TrivialityVerdict(NamedTuple):
     divisors: tuple[int, ...]
     moves: tuple[Move, ...]
 
-    @property
-    def budget_spent(self) -> int:
-        return len(self.moves)
-
     def as_json_dict(self) -> dict:
         return {
             "tag": self.tag,
             "divisors": list(self.divisors),
             "moves": [list(m) for m in self.moves],
-            "budget_spent": self.budget_spent,
+            "budget_spent": len(self.moves),
         }
 
 

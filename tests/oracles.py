@@ -27,7 +27,7 @@ from artinhexa.artin import gen_from_hex
 from artinhexa.braids import BraidError, PureBraid
 from artinhexa.freeprod import D_SYL, Y2_SYL, Y_SYL, FPWord, fp_concat, fp_power, rho, serialize_fp_word
 from artinhexa.hexa import SLOTS, CellSyntaxError, HexError, LinearCell
-from artinhexa.pipeline import ExampleMatch, _example_instances, assignments_for, format_assignment
+from artinhexa.pipeline import ExampleMatch, assignments_for, format_assignment
 from artinhexa.relexpr import Factor, RelatorExpr, RelatorExprError
 from artinhexa.tables import EXAMPLE_TABLES, load_examples
 from artinhexa.words import Word, _clip, concat, generator, invert, parse_int, power, serialize_word
@@ -400,7 +400,7 @@ def match_examples(tasks, param_range=(-5, 5)):
             matched = 0
             first = ""
             total = 0
-            for assignment, triple, _ in _example_instances(example, param_range):
+            for assignment, triple, _ in example_instances(example, param_range):
                 total += 1
                 hit = by_triple.get(triple)
                 if hit is not None:

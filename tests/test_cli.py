@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ import artinhexa
 import oracles
 from artinhexa import artin, cli, pipeline, tables, triviality
 from artinhexa.cli import main
-from artinhexa.hexa import to_surgery
+from artinhexa.hexa import CellSyntaxError, HexError, to_surgery
 from artinhexa.relexpr import RelatorExprError
 from artinhexa.words import abelianize
 
@@ -97,6 +98,11 @@ def test_simplify_negative_rank_file(tmp_path, capsys):
         ("rank3\n", "first line must be 'rank N'"),
         # one divisor per declared generator would be allocated and printed
         ("rank 2000000\n", "above the limit 10000"),
+        # a line error names the file and its physical line, blank ones counted
+        ("rank x\n", "pres.txt line 1: invalid integer 'x'"),
+        ("rank 3\nx1*x2\nx1*y2\nx3\n", "pres.txt line 3: expected syllable, got 'y2' (at position 3)"),
+        ("\nrank 3\n\nx1*x2^\n", "pres.txt line 4: expected syllable, got 'x2^' (at position 3)"),
+        ("rank 3\nx1\nx4\n", "error: relator x4 exceeds rank 3\n"),
     ],
 )
 def test_simplify_rejects_bad_rank_line(tmp_path, capsys, text, message):
@@ -296,24 +302,42 @@ def test_match_examples_refuses_a_deeply_nested_example(tmp_path, monkeypatch, c
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["match-examples", "run-tables"])
-def test_example_table_errors_name_the_file_and_row(command, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "command, edited, old, new, message, cause",
+    [
+        ("match-examples", "examples6.tsv", "4\tx3^-1*x2^-1*x3*x2*x3\t", "4\tx1^(gamma\t",
+         "examples6.tsv row 4: unexpected input at position 2 in 'x1^(gamma'", RelatorExprError),
+        ("run-tables", "examples6.tsv", "4\tx3^-1*x2^-1*x3*x2*x3\t", "4\tx1^(gamma\t",
+         "examples6.tsv row 4: unexpected input at position 2 in 'x1^(gamma'", RelatorExprError),
+        ("run-tables", "table1.tsv", "2\t0\t0\t", "2\t1+q\t0\t",
+         "table1.tsv row 2: unknown variable 'q' in '1+q'", CellSyntaxError),
+        ("run-tables", "table1.tsv", "2\t0\t0\t\u00b11\t0\t", "2\talpha\tbeta\t\u00b11\tgamma\t",
+         "table1.tsv row 2: row 1.2 has >2 free variables", HexError),
+        ("match-examples", "symmetries.tsv", "2\tbeta\tgamma\t", "2\tbeta\tbeta\t",
+         "symmetries.tsv row 2: symmetry 2 is not a bijection on slots", HexError),
+    ],
+    ids=["match-examples", "run-tables", "table-cell", "table-variables", "symmetries"],
+)
+def test_example_table_errors_name_the_file_and_row(
+    command, edited, old, new, message, cause, tmp_path, monkeypatch, capsys
+):
+    # every data file's row errors are wrapped in one place, in tables._read
     out_path = tmp_path / "report"
     argv = (command, "--tables", "1", "--param-range=0..0", "--symmetries", "id", "--out", str(out_path))
-    row4 = "4\tx3^-1*x2^-1*x3*x2*x3\t"
-    code, out, err = run_on_data(
-        tmp_path, monkeypatch, capsys, argv, row4, "4\tx1^(gamma\t", edited="examples6.tsv"
-    )
+    code, out, err = run_on_data(tmp_path, monkeypatch, capsys, argv, old, new, edited=edited)
     assert code == 1 and out == "" and not out_path.exists()
-    assert err == "error: examples6.tsv row 4: unexpected input at position 2 in 'x1^(gamma'\n"
+    assert err == f"error: {message}\n"
     monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
-    tables.load_examples.cache_clear()
+    loaders = (tables.load_table, tables.load_symmetries, tables.load_examples)
+    for loader in loaders:
+        loader.cache_clear()
     try:
         with pytest.raises(tables.TableError) as info:
-            tables.load_examples(6)
+            pipeline.run_tables(tables=(1,), param_range=(0, 0), symmetries="id")
     finally:
-        tables.load_examples.cache_clear()
-    assert isinstance(info.value.__cause__, RelatorExprError)
+        for loader in loaders:
+            loader.cache_clear()
+    assert isinstance(info.value.__cause__, cause)
 
 
 def test_run_tables_to_stdout_refuses_a_bad_example_table_before_the_header(
@@ -359,6 +383,24 @@ def test_simplify_refuses_a_substitution_above_the_syllable_cap(tmp_path, monkey
     path.write_text("rank 3\nx1*x2*x3^2*x2\nx1^1000*x3\nx2*x3\n")
     code, out, err = run(capsys, "simplify", "--file", str(path))
     assert (code, out, err) == (1, "", "error: substituting for x1 builds more than 2000 syllables\n")
+
+
+def test_simplify_bounds_the_smith_form(tmp_path, capsys):
+    # x1 .. xN costs N^3 Smith steps: 2.7 * 10^7 is searched, 10^12 is
+    # refused before any exponent row is built
+    def simplify_identity(rank):
+        path = tmp_path / f"rank{rank}.txt"
+        path.write_text("\n".join([f"rank {rank}", *(f"x{k}" for k in range(1, rank + 1))]) + "\n")
+        return run(capsys, "simplify", "--file", str(path))
+
+    code, out, _ = simplify_identity(300)
+    assert code == 0 and json.loads(out)["tag"] == "Trivial"
+    start = time.perf_counter()
+    assert simplify_identity(10_000) == (1, "", (
+        "error: Smith form of 10000 relators in 10000 generators takes"
+        " 10000*10000*10000 = 1000000000000 steps, above the limit 100000000\n"
+    ))
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(
@@ -497,16 +539,16 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify-artin"])  # missing required --file
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["match-examples", "--budget", "5"])  # the budget is run-tables only
-    assert err.value.code == 2
+    for argv in (["match-examples", "--budget", "5"], ["run-tables", "--budget", "5"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)  # the budget is a setting of simplify only
+        assert err.value.code == 2
     for argv in (["orbit", "--hex", "1,0,0,0,0,0", "--mirror", "maybe"],
                  ["run-tables", "--mirror", "maybe"],
                  ["run-tables", "--jobs", "\u0661"],
                  ["run-tables", "--jobs", "0"],
                  ["run-tables", "--jobs", "-3"],
                  ["match-examples", "--jobs", "0"],
-                 ["run-tables", "--budget", "-1"],
                  ["simplify", "--file", "pres.txt", "--budget", "-1"],
                  ["classify-braid", "--blocks", "1,1", "--twist", "1_0"]):
         with pytest.raises(SystemExit) as err:

@@ -29,12 +29,12 @@ from artinhexa.pipeline import (
     report_tsv,
     run_tables,
 )
-from artinhexa.triviality import DEFAULT_BUDGET, simplify
+from artinhexa.triviality import simplify
 
 SMALL = dict(tables=(1,), param_range=(-1, 1), symmetries="id")
 
 
-def reference_run_tables(tables, param_range, symmetries, mirror, budget=DEFAULT_BUDGET):
+def reference_run_tables(tables, param_range, symmetries, mirror):
     """``run_tables`` as a list: every task, then the cells of every distinct
     filling, then every row.  The oracle for the streamed sweep."""
     tasks = list(build_tasks(tables, param_range, symmetries, mirror))
@@ -42,7 +42,7 @@ def reference_run_tables(tables, param_range, symmetries, mirror, budget=DEFAULT
     for filling in dict.fromkeys(task.filling for task in tasks):
         pres = gen_from_hex(filling)
         check = verify_artin(pres)
-        verdict = simplify(pres, budget)
+        verdict = simplify(pres)
         cells[filling] = dict(
             relators=pres.serialized_relators(),
             artin_w=check.w,
@@ -479,13 +479,12 @@ def test_unknown_symmetry_mode_rejected():
         dict(param_range=(2, 1)),
         dict(tables=(1, 1)),
         dict(jobs=0),
-        dict(budget=-1),
     ],
-    ids=["symmetries", "table", "range", "repeated-table", "jobs", "budget"],
+    ids=["symmetries", "table", "range", "repeated-table", "jobs"],
 )
 def test_bad_arguments_raise_before_any_row(kwargs):
     # the tasks and rows are lazy, but their arguments are checked on call
-    if not {"jobs", "budget"} & kwargs.keys():
+    if "jobs" not in kwargs:
         with pytest.raises(ValueError):
             build_tasks(**kwargs)
     with pytest.raises(ValueError):

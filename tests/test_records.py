@@ -113,7 +113,7 @@ def test_report_row_starts_with_the_task_fields():
 
 def test_match_examples_reads_report_rows_as_tasks():
     config = dict(tables=(1, 2), param_range=(0, 0), symmetries="all")
-    rows = list(run_tables(**config, budget=0))
+    rows = list(run_tables(**config))
     assert all(isinstance(row, ReportRow) for row in rows)
     by_rows = match_examples(rows, config["param_range"])
     assert by_rows == match_examples(build_tasks(**config), config["param_range"])

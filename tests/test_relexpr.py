@@ -81,7 +81,7 @@ def test_whitespace_tolerated():
 def test_bundled_expressions_parse_as_the_oracle_parses():
     count = 0
     for table in EXAMPLE_TABLES:
-        for _, cells in _read(f"examples{table}.tsv", 3, header=False)[1]:
+        for cells in _read(f"examples{table}.tsv", 3, lambda _, number, cells: cells, header=False):
             for text in cells:
                 assert parse_relator_expr(text) == oracles.parse_relator_expr(text)
                 count += 1

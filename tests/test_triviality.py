@@ -129,19 +129,29 @@ def test_invariants_stable_under_nielsen_style_moves():
         assert abelian_invariants(Presentation(3, tuple(multiplied))) == base
 
 
+def test_abelian_invariants_bounds_the_smith_work(monkeypatch):
+    # relators * rank * min(relators, rank) = 2 * 3 * 2 steps
+    p = pres("x1", "x2^2")
+    monkeypatch.setattr(triviality, "MAX_SMITH_WORK", 12)
+    assert abelian_invariants(p) == (1, 2, 0)
+    monkeypatch.setattr(triviality, "MAX_SMITH_WORK", 11)
+    with pytest.raises(ValueError, match=r"2 relators in 3 generators takes 2\*3\*2 = 12 steps, above the limit 11$"):
+        abelian_invariants(p)
+
+
 # ---- simplify -------------------------------------------------------------------
 
 def test_simplify_table5_row1_trivial():
     verdict = simplify(pres("x1^-1", "x2^-1*x3^-1*x2^-1", "x3^-1*x2^-1"))
     assert verdict.tag == "Trivial"
-    assert verdict.budget_spent <= 10
+    assert len(verdict.moves) <= 10
 
 
 def test_simplify_refutes_by_invariants():
     verdict = simplify(pres("x1^2", "x2", "x3"))
     assert verdict.tag == "NotTrivial"
     assert verdict.divisors == (1, 1, 2)
-    assert verdict.budget_spent == 0
+    assert verdict.moves == ()
 
 
 def test_simplify_repeated_relator_not_trivial():
@@ -156,9 +166,9 @@ def test_simplify_budget_exhaustion_is_unknown():
     assert simplify(p).tag == "Trivial"
     verdict = simplify(p, budget=2)
     assert verdict.tag == "Unknown"
-    assert verdict.budget_spent == 2
+    assert len(verdict.moves) == 2
     verdict = simplify(p, budget=0)
-    assert (verdict.tag, verdict.budget_spent) == ("Unknown", 0)
+    assert (verdict.tag, verdict.moves) == ("Unknown", ())
     with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
         simplify(p, budget=-1)
 
@@ -210,6 +220,7 @@ def test_verdict_json_shape():
     assert set(payload) == {"tag", "divisors", "moves", "budget_spent"}
     assert payload["tag"] == "Trivial"
     assert all(isinstance(m, list) for m in payload["moves"])
+    assert payload["budget_spent"] == len(payload["moves"]) == 3
 
 
 def test_replay_rejects_out_of_range_generator():
