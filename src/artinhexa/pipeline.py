@@ -190,18 +190,81 @@ def run_tables(
     return _rows(tasks, example_index(param_range), jobs)
 
 
-def _pin_worker(counter, cpus: list[int]) -> None:
-    """Pool initializer: pin the k-th worker started to ``cpus[k % len(cpus)]``,
-    as the scheduler may leave forked workers sharing one CPU.  A replacement
-    worker takes the next k, so this never waits.  An initializer that raises
-    makes the pool restart workers for ever, so a failed pin is skipped."""
-    with counter.get_lock():
-        k = counter.value
-        counter.value += 1
+def _fork_map(todo: list[HexFilling], cpus: list[int], workers: int):
+    """``map(_run_filling, todo)``, run by ``min(workers, len(todo))``
+    forked children when that is more than one: child ``k`` is pinned to
+    ``cpus[k % len(cpus)]``, best effort, as the scheduler may leave forked
+    children sharing one CPU; it runs ``todo[k::workers]`` and sends its
+    results back through a pipe.  The results come back in ``todo`` order.
+    A child's error is raised here unchanged, the one of the earliest
+    filling that failed, as a serial run would raise it; and no child
+    outlives the call.  The program starts no thread, so the children are
+    forked from a process with one thread."""
+    workers = min(workers, len(todo))
+    if workers < 2:
+        return map(_run_filling, todo)
+    import pickle  # imported here, as --jobs 1 needs neither
+    import signal
+
+    pids, readers = [], []
     try:
-        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
-    except (AttributeError, OSError):
-        pass
+        for k in range(workers):
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            with open(write_end, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    _child(todo[k::workers], cpus[k % len(cpus)], writer)
+            pids.append(pid)
+        payloads = [reader.read() for reader in readers]
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results: list = [None] * len(todo)
+    failures = []
+    for k, payload in enumerate(payloads):
+        try:
+            failed, value = pickle.loads(payload)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError("a worker process ended without its results") from None
+        if failed is None:
+            results[k::workers] = value
+        else:  # the failure's index in todo
+            failures.append((failed * workers + k, value))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
+def _child(part: list[HexFilling], cpu: int, writer) -> None:
+    """A forked child's whole life: it writes ``(None, results)``, or
+    ``(i, error)`` for the first filling ``part[i]`` that failed, and leaves
+    through ``os._exit``, so it runs none of the parent's ``finally`` blocks
+    (such as the removal of a partial ``--out`` file) and flushes none of
+    the output buffers it inherited."""
+    import pickle
+
+    code = 1
+    try:
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except (AttributeError, OSError):
+            pass
+        results = []
+        try:
+            for filling in part:
+                results.append(_run_filling(filling))
+            payload = pickle.dumps((None, results))
+        except BaseException as exc:  # raised again by the parent
+            payload = pickle.dumps((len(results), exc))
+        writer.write(payload)
+        writer.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _rows(tasks, index, jobs) -> Iterator[ReportRow]:
@@ -210,28 +273,17 @@ def _rows(tasks, index, jobs) -> Iterator[ReportRow]:
         cpus = sorted(os.sched_getaffinity(0))
     except AttributeError:  # no affinity calls on this platform
         cpus = list(range(os.cpu_count() or 1))
-    workers = min(jobs, len(cpus))
-    pool = None
-    if workers > 1:
-        import multiprocessing
-
-        counter = multiprocessing.Value("i", 0)
-        pool = multiprocessing.Pool(workers, initializer=_pin_worker, initargs=(counter, cpus))
-    try:
-        while block := list(itertools.islice(tasks, BLOCK_TASKS)):
-            todo = [f for f in dict.fromkeys(task.filling for task in block) if f not in cache]
-            results = map(_run_filling, todo) if pool is None else pool.map(_run_filling, todo, chunksize=64)
-            for filling, result in zip(todo, results):
-                cache[filling] = (*result, index.get(result[0], ""))
-            for task in block:
-                yield ReportRow(*task, *cache[task.filling])
-            # one pass: deleting the first key again and again rescans the
-            # deleted slots at the front of the dict
-            for filling in list(itertools.islice(cache, max(0, len(cache) - CACHE_FILLINGS))):
-                del cache[filling]
-    finally:
-        if pool is not None:
-            pool.terminate()
+    workers = min(jobs, len(cpus)) if hasattr(os, "fork") else 1
+    while block := list(itertools.islice(tasks, BLOCK_TASKS)):
+        todo = [f for f in dict.fromkeys(task.filling for task in block) if f not in cache]
+        for filling, result in zip(todo, _fork_map(todo, cpus, workers)):
+            cache[filling] = (*result, index.get(result[0], ""))
+        for task in block:
+            yield ReportRow(*task, *cache[task.filling])
+        # one pass: deleting the first key again and again rescans the
+        # deleted slots at the front of the dict
+        for filling in list(itertools.islice(cache, max(0, len(cache) - CACHE_FILLINGS))):
+            del cache[filling]
 
 
 def _example_instances(example: ExampleRow, param_range: tuple[int, int]):

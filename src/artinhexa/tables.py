@@ -43,28 +43,29 @@ def _read(name: str, width: int, build, header: bool = True) -> tuple:
     """``build(order, number, cells)`` for each row of data file ``name``,
     where ``order`` is the declared column order (empty without a header
     line) and each row has its number and ``width`` cells.  An error in a
-    row is raised as a ``TableError`` naming the file and the row."""
+    row is raised as a ``TableError`` naming the file and the row, or where
+    the row has no number yet, the file and the line (blank lines count)."""
     lines = [
-        [cell.strip() for cell in line.split("\t")]
-        for line in read_data_text(name).splitlines()
+        (n, [cell.strip() for cell in line.split("\t")])
+        for n, line in enumerate(read_data_text(name).splitlines(), 1)
         if line.strip()
     ]
     if not lines:
         raise TableError(f"{name} is empty")
     order: tuple[str, ...] = ()
     if header:
-        order = tuple(lines[0][0].split())
+        order = tuple(lines[0][1][0].split())
         if sorted(order) != sorted(SLOTS):
-            raise TableError(f"{name}: bad column declaration {lines[0]}")
+            raise TableError(f"{name}: bad column declaration {lines[0][1]}")
         del lines[0]
     rows = []
-    for cells in lines:
+    for n, cells in lines:
         if len(cells) != width + 1:
-            raise TableError(f"{name}: expected row number + {width} cells, got {cells}")
+            raise TableError(f"{name} line {n}: expected row number + {width} cells, got {cells}")
         try:
             number = parse_int(cells[0])
         except ValueError:
-            raise TableError(f"{name}: bad row number {_clip(cells[0])}") from None
+            raise TableError(f"{name} line {n}: bad row number {_clip(cells[0])}") from None
         try:
             rows.append(build(order, number, cells[1:]))
         except ValueError as exc:

@@ -315,13 +315,22 @@ def test_match_examples_refuses_a_deeply_nested_example(tmp_path, monkeypatch, c
          "table1.tsv row 2: row 1.2 has >2 free variables", HexError),
         ("match-examples", "symmetries.tsv", "2\tbeta\tgamma\t", "2\tbeta\tbeta\t",
          "symmetries.tsv row 2: symmetry 2 is not a bijection on slots", HexError),
+        # a row with no number yet is located by its line, blank lines
+        # included: table1.tsv's row 2 is on line 4 after the blank line
+        ("run-tables", "table1.tsv", "\n2\t0\t0\t", "\n\n2\t0\t",
+         "table1.tsv line 4: expected row number + 6 cells, got "
+         "['2', '0', '\u00b11', '0', '\u00b11', '\u00b11']", type(None)),
+        ("run-tables", "table1.tsv", "\n2\t0\t0\t", "\nx\t0\t0\t",
+         "table1.tsv line 3: bad row number 'x'", type(None)),
     ],
-    ids=["match-examples", "run-tables", "table-cell", "table-variables", "symmetries"],
+    ids=["match-examples", "run-tables", "table-cell", "table-variables", "symmetries",
+         "row-shape", "row-number"],
 )
 def test_example_table_errors_name_the_file_and_row(
     command, edited, old, new, message, cause, tmp_path, monkeypatch, capsys
 ):
-    # every data file's row errors are wrapped in one place, in tables._read
+    # every data file's row errors are wrapped in one place, in tables._read;
+    # a wrapped error keeps the parser's error as its cause
     out_path = tmp_path / "report"
     argv = (command, "--tables", "1", "--param-range=0..0", "--symmetries", "id", "--out", str(out_path))
     code, out, err = run_on_data(tmp_path, monkeypatch, capsys, argv, old, new, edited=edited)
@@ -450,16 +459,60 @@ def test_write_error_removes_the_partial_file(tmp_path, monkeypatch, capsys):
 
 
 def test_jobs_1_imports_no_pool(tmp_path):
-    # a pool costs its import on every command, so only --jobs > 1 pays it
+    # no command imports multiprocessing: --jobs > 1 forks its workers
+    # itself, here two whatever this host has
     code = (
-        "import sys; from artinhexa.cli import main; "
+        "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; from artinhexa.cli import main; "
         f"main(['run-tables', '--tables', '1', '--param-range=0..0', '--out', {str(tmp_path / 'r.tsv')!r}]); "
+        f"main(['run-tables', '--tables', '1', '--param-range=0..0', '--jobs', '2', '--out', {str(tmp_path / 'r2.tsv')!r}]); "
         "main(['match-examples', '--tables', '1', '--param-range=0..0', '--jobs', '2']); "
         "print('multiprocessing' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "r.tsv").read_bytes() == (tmp_path / "r2.tsv").read_bytes()
+
+
+def test_a_worker_error_ends_the_run_as_a_serial_one_does(tmp_path):
+    # a filling refused in a forked worker: the same output and one error
+    # line as at --jobs 1, no --out file, and no child left behind; on
+    # stdout, the header that waits in the buffer when the workers are
+    # forked is written once, by the parent
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from artinhexa import artin\n"
+        "from artinhexa.cli import main\n"
+        "artin.MAX_PRESENTATION_SYLLABLES = int(sys.argv[1])\n"
+        "code = main(sys.argv[2:])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    sys.exit(code)\n"
+        "sys.exit('a child is left')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
+    argv = ("run-tables", "--tables", "1", "--symmetries", "id", "--param-range=-1..1")
+    runs = {}
+    for limit in (40, 2_000_000):
+        for jobs in ("1", "2"):
+            out_path = tmp_path / f"report-{limit}-{jobs}"
+            for target in (("--out", str(out_path)), ()):
+                runs[limit, jobs, bool(target)] = proc = subprocess.run(
+                    [sys.executable, "-c", code, str(limit), *argv, "--jobs", jobs, *target],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+            assert out_path.exists() == (limit > 40)
+    for target in (True, False):
+        serial, forked = runs[40, "1", target], runs[40, "2", target]
+        assert (forked.returncode, forked.stdout, forked.stderr) == (1, serial.stdout, serial.stderr)
+        assert serial.returncode == 1 and serial.stdout in ("", pipeline.report_tsv([])) and serial.stderr.count("\n") == 1
+        assert serial.stderr.startswith("error: presentation may have ")
+        serial, forked = runs[2_000_000, "1", target], runs[2_000_000, "2", target]
+        assert (forked.returncode, forked.stdout, forked.stderr) == (0, serial.stdout, "")
+    assert runs[2_000_000, "2", False].stdout.count("table\trow\t") == 1
+    assert (tmp_path / "report-2000000-1").read_bytes() == (tmp_path / "report-2000000-2").read_bytes()
 
 
 def test_match_examples_small(capsys):

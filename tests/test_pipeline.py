@@ -1,16 +1,14 @@
 import functools
 import json
-import multiprocessing
 import os
-import random
+import signal
 import subprocess
 import sys
-import threading
 
 import pytest
 
 import oracles
-from artinhexa import pipeline, triviality
+from artinhexa import artin, pipeline, triviality
 from artinhexa.artin import gen_from_hex, gen_from_params, verify_artin
 from artinhexa.braids import classify
 from artinhexa.hexa import HexFilling, to_surgery
@@ -96,35 +94,43 @@ def chain_calls(monkeypatch):
 
 
 @pytest.fixture
-def fake_pool(monkeypatch):
-    """``multiprocessing.Pool`` replaced by a pool started in no process.  It
-    runs the initializer once per worker with each pin recorded, not made,
-    and computes ``map``'s chunks in a shuffled order.  The value is a list
-    of ``(workers, pinned CPUs)``, one per pool."""
-    pools = []
+def children(monkeypatch, tmp_path):
+    """Watches the forked workers: ``forks()`` counts the children forked,
+    and ``pins()`` lists, sorted, the CPUs they asked to be pinned to.  A
+    child's memory is its own, so each child records its pin, which is not
+    made, in a file."""
+    log = tmp_path / "pins"
+    log.touch()
+    forks = []
+    fork = os.fork
 
-    class FakePool:
-        def __init__(self, processes, initializer, initargs):
-            pinned = []
-            with monkeypatch.context() as m:
-                m.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.extend(cpus))
-                for _ in range(processes):
-                    initializer(*initargs)
-            pools.append((processes, pinned))
+    def counting_fork():
+        forks.append(1)
+        return fork()
 
-        def map(self, func, iterable, chunksize):
-            items = list(iterable)
-            chunks = [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
-            order = list(range(len(chunks)))
-            random.Random(len(items)).shuffle(order)
-            done = {i: list(map(func, chunks[i])) for i in order}
-            return [result for i in range(len(chunks)) for result in done[i]]
+    def recording_pin(pid, cpus):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+        os.write(fd, b"".join(b"%d\n" % cpu for cpu in cpus))
+        os.close(fd)
 
-        def terminate(self):
-            pass
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_setaffinity", recording_pin)
 
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    return pools
+    class Children:
+        @staticmethod
+        def forks():
+            return len(forks)
+
+        @staticmethod
+        def pins():
+            return sorted(map(int, log.read_text().split()))
+
+    return Children
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -209,9 +215,10 @@ def test_jobs_do_not_change_report():
     ],
     ids=["capped", "below-cap", "one-usable-cpu", "no-affinity", "cpu-count-unknown", "serial"],
 )
-def test_pool_size_is_capped_at_cpu_count(monkeypatch, fake_pool, jobs, cpus, workers):
+def test_pool_size_is_capped_at_cpu_count(monkeypatch, children, jobs, cpus, workers):
     # the cap is the CPUs this process may run on (a set), or where the
-    # platform cannot tell, the CPU count (a number or None)
+    # platform cannot tell, the CPU count (a number or None); the one block
+    # holds 46 fillings, so every worker gets some
     if isinstance(cpus, set):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -220,58 +227,25 @@ def test_pool_size_is_capped_at_cpu_count(monkeypatch, fake_pool, jobs, cpus, wo
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     config = dict(tables=(1,), param_range=(0, 0), symmetries="id")
     got = report_tsv(run_tables(**config, jobs=jobs))
-    assert fake_pool == ([] if workers is None else [(workers, list(range(workers)))])
+    workers = workers or 0
+    assert (children.forks(), children.pins()) == (workers, list(range(workers)))
     assert got == report_tsv(run_tables(**config, jobs=1))
 
 
-def test_more_workers_than_this_host_has_keep_the_bytes(monkeypatch, fake_pool):
-    # eight workers whatever this host has: each pinned to its own CPU, and
-    # their chunks finished out of order
+def test_more_workers_than_this_host_has_keep_the_bytes(monkeypatch, children):
+    # eight workers whatever this host has, each pinned to its own CPU; the
+    # mirrored run's second block has no new filling, so forks none
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 6, 5, 4, 3, 2, 1, 0})
     for mirror in (False, True):
         config = dict(tables=(1,), param_range=(-1, 1), symmetries="all", mirror=mirror)
         rows = list(run_tables(**config, jobs=8))
         assert (report_tsv(rows), report_json(rows)) == reference_reports(mirror)
-    assert fake_pool == [(8, list(range(8)))] * 2
-
-
-def test_pinning_hands_out_cpus_in_turn_and_never_waits(monkeypatch):
-    pinned = []
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append((pid, cpus)))
-    counter = multiprocessing.Value("i", 0)
-    cpus = [2, 5, 7]
-    for _ in cpus:
-        pipeline._pin_worker(counter, cpus)
-    assert pinned == [(0, {2}), (0, {5}), (0, {7})]
-
-    # a replacement worker comes after the first ones; its pin fails here
-    def refuse(pid, cpus):
-        pinned.append((pid, cpus))
-        raise OSError(22, "Invalid argument")
-
-    monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    errors = []
-
-    def replacement():
-        try:
-            pipeline._pin_worker(counter, cpus)
-        except Exception as exc:
-            errors.append(exc)
-
-    late = threading.Thread(target=replacement)
-    late.start()
-    late.join(timeout=10)
-    assert not late.is_alive() and errors == []
-    assert pinned[-1] == (0, {2})
-    # and where the platform has no affinity calls, nothing is pinned
-    monkeypatch.delattr(os, "sched_setaffinity")
-    pipeline._pin_worker(counter, cpus)
-    assert counter.value == 5
+    assert (children.forks(), children.pins()) == (16, sorted(list(range(8)) * 2))
 
 
 def test_failed_pins_neither_hang_nor_change_the_report():
-    # a real pool of two workers, forked from a parent whose every pin
-    # fails; a pool that restarts its workers for ever shows as a timeout
+    # two workers, forked from a parent whose every pin fails; a worker
+    # that waits on its pin shows as a timeout
     code = (
         "import os, sys\n"
         "def refuse(pid, cpus):\n"
@@ -289,6 +263,48 @@ def test_failed_pins_neither_hang_nor_change_the_report():
     )
     assert out.stderr.split() == ["refused"] * 2
     assert out.stdout == reference_reports(False)[0]
+
+
+def test_a_worker_error_is_the_error_of_a_serial_run(monkeypatch):
+    # the second and third fillings fail: the third is the first of worker
+    # 0 to fail, but the second comes first in a serial run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = dict(tables=(1,), param_range=(0, 0), symmetries="id")
+    todo = list(dict.fromkeys(task.filling for task in build_tasks(**config)))
+    run_filling = pipeline._run_filling
+
+    def failing(filling):
+        if filling in todo[1:3]:
+            raise artin.PresentationError(f"refused {filling}")
+        return run_filling(filling)
+
+    monkeypatch.setattr(pipeline, "_run_filling", failing)
+    for jobs in (1, 2):
+        with pytest.raises(artin.PresentationError) as info:
+            list(run_tables(**config, jobs=jobs))
+        assert str(info.value) == f"refused {todo[1]}"
+    assert_no_child_left()
+
+
+def test_no_worker_outlives_its_block(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = dict(tables=(1,), param_range=(-1, 1), symmetries="all", mirror=True)
+    assert len(list(run_tables(**config, jobs=2))) == 4608
+    assert_no_child_left()
+    rows = run_tables(**config, jobs=2)
+    next(rows)
+    rows.close()
+    assert_no_child_left()
+    with monkeypatch.context() as m:
+        m.setattr(artin, "MAX_PRESENTATION_SYLLABLES", 40)
+        with pytest.raises(artin.PresentationError, match="above the limit 40"):
+            list(run_tables(**config, jobs=2))
+    assert_no_child_left()
+    # a worker killed before it sends its results
+    monkeypatch.setattr(pipeline, "_run_filling", lambda filling: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(ChildProcessError, match="a worker process ended without its results"):
+        list(run_tables(**config, jobs=2))
+    assert_no_child_left()
 
 
 def test_first_row_runs_the_chain_on_one_block(monkeypatch, chain_calls):
@@ -310,7 +326,7 @@ def test_cache_eviction_keeps_the_bytes(monkeypatch, chain_calls):
     rows = list(run_tables(**config, jobs=1))
     assert (report_tsv(rows), report_json(rows)) == reference_reports(True)
     assert len(chain_calls) > len(set(chain_calls)) == 632
-    # and with a pool, whose workers' chain calls are not counted here
+    # and with forked workers, whose chain calls are not counted here
     rows = list(run_tables(**config, jobs=2))
     assert (report_tsv(rows), report_json(rows)) == reference_reports(True)
 

@@ -156,7 +156,8 @@ def test_row_numbers_take_ascii_digits_only(name, tmp_path, monkeypatch, capsys)
             LOADERS[name]()
         argv = ["run-tables", "--tables", "1", "--param-range=0..0", "--symmetries", "id"]
         assert main(argv) == 1
-        assert f"{name}: bad row number" in capsys.readouterr().err
+        line = 1 if name.startswith("examples") else 2
+        assert f"{name} line {line}: bad row number '\u0661_0'" in capsys.readouterr().err
     finally:
         monkeypatch.delenv(tables.DATA_ENV)
         _clear_caches()
