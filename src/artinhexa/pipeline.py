@@ -7,7 +7,9 @@ identities, the triviality search with its abelian invariants, and the
 hyperbolicity classification of the associated surgery braid) runs once
 per distinct filling and its cells are shared by every row with that
 filling.  Rows come out in a fixed canonical order whatever the worker
-count, so reports are byte-identical across ``jobs`` settings.
+count, so reports are byte-identical across ``jobs`` settings: at
+``jobs`` above 1, each block's new fillings are split among child
+processes forked for that block, and their results are put back in order.
 ``match_examples`` compares tasks with the example tables by relators only,
 and builds a presentation only for a filling whose closed-form linking
 matrix equals the exponent-sum matrix of some example instance.
@@ -41,8 +43,8 @@ from .words import abelianize, serialize_word
 
 Assignment = tuple[tuple[str, int], ...]
 
-# Tasks taken per block: the block's new fillings go to the workers in one
-# ``map``, so at benchmark scale each run is a single block.
+# Tasks taken per block: the block's new fillings are split among workers
+# forked for the block, so at benchmark scale each run forks them once.
 BLOCK_TASKS = 4096
 # Fillings whose cells are kept from one block to the next; the oldest is
 # dropped first.  The chain is
