@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import marshal
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -197,17 +198,16 @@ def _fork_map(todo: list[HexFilling], cpus: list[int], workers: int):
     forked children when that is more than one: child ``k`` is pinned to
     ``cpus[k % len(cpus)]``, best effort, as the scheduler may leave forked
     children sharing one CPU; it runs ``todo[k::workers]`` and sends its
-    results back through a pipe.  The results come back in ``todo`` order.
-    A child's error is raised here unchanged, the one of the earliest
-    filling that failed, as a serial run would raise it; and no child
-    outlives the call.  The program starts no thread, so the children are
-    forked from a process with one thread."""
+    results back through a pipe as ``marshal`` data, which unlike
+    ``pickle`` costs no import; only an error is pickled.  The results
+    come back in ``todo`` order.  A child's error is raised here
+    unchanged, the one of the earliest filling that failed, as a serial
+    run would raise it; and no child outlives the call.  The program
+    starts no thread, so the children are forked from a process with one
+    thread."""
     workers = min(workers, len(todo))
     if workers < 2:
         return map(_run_filling, todo)
-    import pickle  # imported here, as --jobs 1 needs neither
-    import signal
-
     pids, readers = [], []
     try:
         for k in range(workers):
@@ -223,19 +223,21 @@ def _fork_map(todo: list[HexFilling], cpus: list[int], workers: int):
         for reader in readers:
             reader.close()
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, 9)  # SIGKILL; importing signal costs a run 1 ms
             os.waitpid(pid, 0)
     results: list = [None] * len(todo)
     failures = []
     for k, payload in enumerate(payloads):
         try:
-            failed, value = pickle.loads(payload)
-        except (EOFError, pickle.UnpicklingError):
+            failed, value = marshal.loads(payload)
+        except (EOFError, ValueError):
             raise ChildProcessError("a worker process ended without its results") from None
         if failed is None:
             results[k::workers] = value
-        else:  # the failure's index in todo
-            failures.append((failed * workers + k, value))
+        else:  # the failure's index in todo, and the pickled error
+            import pickle
+
+            failures.append((failed * workers + k, pickle.loads(value)))
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return results
@@ -243,12 +245,10 @@ def _fork_map(todo: list[HexFilling], cpus: list[int], workers: int):
 
 def _child(part: list[HexFilling], cpu: int, writer) -> None:
     """A forked child's whole life: it writes ``(None, results)``, or
-    ``(i, error)`` for the first filling ``part[i]`` that failed, and leaves
-    through ``os._exit``, so it runs none of the parent's ``finally`` blocks
-    (such as the removal of a partial ``--out`` file) and flushes none of
-    the output buffers it inherited."""
-    import pickle
-
+    ``(i, pickled error)`` for the first filling ``part[i]`` that failed,
+    and leaves through ``os._exit``, so it runs none of the parent's
+    ``finally`` blocks (such as the removal of a partial ``--out`` file)
+    and flushes none of the output buffers it inherited."""
     code = 1
     try:
         try:
@@ -259,9 +259,11 @@ def _child(part: list[HexFilling], cpu: int, writer) -> None:
         try:
             for filling in part:
                 results.append(_run_filling(filling))
-            payload = pickle.dumps((None, results))
+            payload = marshal.dumps((None, results))
         except BaseException as exc:  # raised again by the parent
-            payload = pickle.dumps((len(results), exc))
+            import pickle
+
+            payload = marshal.dumps((len(results), pickle.dumps(exc)))
         writer.write(payload)
         writer.flush()
         code = 0

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -296,6 +297,30 @@ def test_no_worker_outlives_its_block(monkeypatch):
     monkeypatch.setattr(pipeline, "_run_filling", lambda filling: os.kill(os.getpid(), signal.SIGKILL))
     with pytest.raises(ChildProcessError, match="a worker process ended without its results"):
         list(run_tables(**config, jobs=2))
+    assert_no_child_left()
+
+
+def test_workers_are_killed_when_the_parent_stops_reading(monkeypatch):
+    # the parent's read fails while its two workers are still at work:
+    # they are killed and reaped at once, not waited for
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(pipeline, "_run_filling", lambda filling: time.sleep(5))
+
+    class FailingReader:
+        def __init__(self, file):
+            self.close = file.close
+
+        def read(self):
+            raise OSError(4, "Interrupted system call")
+
+    def failing_open(fd, mode):
+        return FailingReader(open(fd, mode)) if mode == "rb" else open(fd, mode)
+
+    monkeypatch.setattr(pipeline, "open", failing_open, raising=False)
+    start = time.monotonic()
+    with pytest.raises(OSError, match="Interrupted system call"):
+        list(run_tables(tables=(1,), param_range=(0, 0), symmetries="id", jobs=2))
+    assert time.monotonic() - start < 60
     assert_no_child_left()
 
 
