@@ -196,15 +196,15 @@ def run_tables(
 def _fork_map(todo: list[HexFilling], cpus: list[int], workers: int):
     """``map(_run_filling, todo)``, run by ``min(workers, len(todo))``
     forked children when that is more than one: child ``k`` is pinned to
-    ``cpus[k % len(cpus)]``, best effort, as the scheduler may leave forked
-    children sharing one CPU; it runs ``todo[k::workers]`` and sends its
-    results back through a pipe as ``marshal`` data, which unlike
-    ``pickle`` costs no import; only an error is pickled.  The results
-    come back in ``todo`` order.  A child's error is raised here
-    unchanged, the one of the earliest filling that failed, as a serial
-    run would raise it; and no child outlives the call.  The program
-    starts no thread, so the children are forked from a process with one
-    thread."""
+    ``cpus[k]``, best effort, as the scheduler may leave forked children
+    sharing one CPU; it runs ``todo[k::workers]`` and sends its results
+    back through a pipe as ``marshal`` data.  The results come back in
+    ``todo`` order, and no child outlives the call.  A child that raises
+    or is killed sends no complete results; as the chain is pure, ``todo``
+    is then run again here, serially: that raises exactly the error a
+    ``jobs=1`` run raises, or gives its results if the failure was the
+    child's own.  The program starts no thread, so the children are forked
+    from a process with one thread."""
     workers = min(workers, len(todo))
     if workers < 2:
         return map(_run_filling, todo)
@@ -216,7 +216,7 @@ def _fork_map(todo: list[HexFilling], cpus: list[int], workers: int):
             with open(write_end, "wb") as writer:
                 pid = os.fork()
                 if pid == 0:
-                    _child(todo[k::workers], cpus[k % len(cpus)], writer)
+                    _child(todo[k::workers], cpus[k], writer)
             pids.append(pid)
         payloads = [reader.read() for reader in readers]
     finally:
@@ -226,49 +226,29 @@ def _fork_map(todo: list[HexFilling], cpus: list[int], workers: int):
             os.kill(pid, 9)  # SIGKILL; importing signal costs a run 1 ms
             os.waitpid(pid, 0)
     results: list = [None] * len(todo)
-    failures = []
-    for k, payload in enumerate(payloads):
-        try:
-            failed, value = marshal.loads(payload)
-        except (EOFError, ValueError):
-            raise ChildProcessError("a worker process ended without its results") from None
-        if failed is None:
-            results[k::workers] = value
-        else:  # the failure's index in todo, and the pickled error
-            import pickle
-
-            failures.append((failed * workers + k, pickle.loads(value)))
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    try:
+        for k, payload in enumerate(payloads):
+            results[k::workers] = marshal.loads(payload)
+    except (EOFError, ValueError):  # an empty or cut payload
+        return list(map(_run_filling, todo))
     return results
 
 
 def _child(part: list[HexFilling], cpu: int, writer) -> None:
-    """A forked child's whole life: it writes ``(None, results)``, or
-    ``(i, pickled error)`` for the first filling ``part[i]`` that failed,
-    and leaves through ``os._exit``, so it runs none of the parent's
-    ``finally`` blocks (such as the removal of a partial ``--out`` file)
-    and flushes none of the output buffers it inherited."""
-    code = 1
+    """A forked child's whole life: it writes the results of ``part``, or
+    nothing if a filling raises, and leaves through ``os._exit``, so it
+    runs none of the parent's ``finally`` blocks (such as the removal of a
+    partial ``--out`` file) and flushes none of the output buffers it
+    inherited."""
     try:
         try:
             os.sched_setaffinity(0, {cpu})
         except (AttributeError, OSError):
             pass
-        results = []
-        try:
-            for filling in part:
-                results.append(_run_filling(filling))
-            payload = marshal.dumps((None, results))
-        except BaseException as exc:  # raised again by the parent
-            import pickle
-
-            payload = marshal.dumps((len(results), pickle.dumps(exc)))
-        writer.write(payload)
+        writer.write(marshal.dumps([_run_filling(filling) for filling in part]))
         writer.flush()
-        code = 0
     finally:
-        os._exit(code)
+        os._exit(0)
 
 
 def _rows(tasks, index, jobs) -> Iterator[ReportRow]:

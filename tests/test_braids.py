@@ -207,6 +207,44 @@ def test_witness_agrees_with_classifier_small_grid():
                 assert witness == fires, (blocks, e)
 
 
+def _sl2_trace(blocks) -> int:
+    """The trace of the braid's image in SL(2,Z) under sigma1^2 -> A =
+    [[1,2],[0,1]] and sigma2^2 -> B = [[1,0],[-2,1]], full twist left out:
+    it goes to -I, which changes the sign only."""
+    (a, b), (c, d) = (1, 0), (0, 1)
+    for e, f in blocks:
+        # times A^e = [[1,2e],[0,1]], then times B^f = [[1,0],[-2f,1]]
+        b, d = b + 2 * e * a, d + 2 * e * c
+        a, c = a - 2 * f * b, c - 2 * f * d
+    return a + d
+
+
+def test_braid_class_agrees_with_the_trace_in_sl2z():
+    # the closure is pseudo-Anosov exactly when |trace| > 2 (the
+    # Nielsen-Thurston trichotomy in SL(2,Z) form), a criterion that shares
+    # nothing with classify's cyclic normal form; with twist 0 and one block
+    # after merging, classify says ConnectedSum, so only one-sided rules hold
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exponents = st.integers(-3, 3)
+
+    @hypothesis.given(st.lists(st.tuples(exponents, exponents), max_size=4), st.integers(-2, 2))
+    @hypothesis.example([(1, 1), (1, 1)], 0)
+    @hypothesis.example([(2, 0), (0, 3)], 0)
+    @hypothesis.example([(1, 2), (0, 0), (-1, 0)], 1)
+    def check(blocks, twist):
+        trace = abs(_sl2_trace(blocks))
+        tag = classify(PureBraid(tuple(blocks), twist)).tag
+        if tag == HYPERBOLIC:
+            assert trace > 2
+        if trace > 2 and twist != 0:
+            assert tag == HYPERBOLIC
+        if trace == 2:
+            assert tag in (ESSENTIAL_TORUS, SPLITTABLE)
+
+    check()
+
+
 def test_rho_of_expansion_matches_blockwise():
     from artinhexa.freeprod import fp_concat, fp_power
 
