@@ -146,11 +146,12 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_validate_symmetries(args) -> int:
+    # both checks run before the first print: a load error prints no report
     control = hexa.validate_symmetry_table(hexa.tetrahedral_control())
+    table = hexa.validate_symmetry_table(tables.load_symmetries())
     print("control (programmatic tetrahedral edge action):")
     for line in control.lines():
         print("  " + line)
-    table = hexa.validate_symmetry_table(tables.load_symmetries())
     print("bundled symmetry table:")
     for line in table.lines():
         print("  " + line)
@@ -162,17 +163,19 @@ def _cmd_validate_symmetries(args) -> int:
 
 
 def _cmd_parse_cell(args) -> int:
+    # the values are computed before the first print: a refusal prints nothing
     cell = hexa.parse_cell(args.cell)
-    print(f"canonical {hexa.serialize_cell(cell)}")
+    lines = [f"canonical {hexa.serialize_cell(cell)}"]
+    assignment = {}
     if args.assign:
         name, _, raw = args.assign.partition("=")
         try:
             assignment = {name.strip(): words.parse_int(raw)}
         except ValueError:
             raise ValueError(f"bad --assign {words._clip(args.assign)}; expected var=int")
-        print("values " + ",".join(str(v) for v in cell.values(assignment)))
-    elif cell.var is None:
-        print("values " + ",".join(str(v) for v in cell.values({})))
+    if args.assign or cell.var is None:
+        lines.append("values " + ",".join(str(v) for v in cell.values(assignment)))
+    print("\n".join(lines))
     return 0
 
 

@@ -4,8 +4,8 @@ simplifier.
 
 A ``Trivial`` verdict carries a replayable move log; ``NotTrivial`` carries
 the nontrivial divisors; ``Unknown`` is an honest outcome when the move
-budget runs out or the greedy search stalls (triviality is undecidable in
-general, so no answer is forced).
+budget runs out or, before that, the greedy search stalls (triviality is
+undecidable in general, so no answer is forced).
 """
 
 from __future__ import annotations
@@ -272,22 +272,28 @@ def _best_mult(relators: list[Word]) -> Move | None:
 
 
 def simplify(pres: Presentation, budget: int = DEFAULT_BUDGET) -> TrivialityVerdict:
-    """Bounded deterministic search for a trivialization.
-
-    Move order per round: (a) free+cyclic reduction of all relators,
-    (b) deleting a generator whose relator is a bare ``x^+-1``,
-    (c) Tietze elimination of a generator occurring exactly once in some
-    relator, (d) greedy length-reducing relator multiplication over all
-    cyclic rotations.  An abelian-invariant check short-circuits to
-    NotTrivial up front, so Trivial is never reported for a group with
-    nontrivial homology.
-    """
+    """Bounded deterministic search for a trivialization.  An
+    abelian-invariant check short-circuits to NotTrivial up front, so
+    Trivial is never reported for a group with nontrivial homology."""
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     divisors = abelian_invariants(pres)
     if any(d != 1 for d in divisors):
         return TrivialityVerdict("NotTrivial", divisors, ())
-    rank, relators = pres.rank, list(pres.relators)
+    rank, moves = _search(pres.rank, list(pres.relators), budget)
+    return TrivialityVerdict("Unknown" if rank else "Trivial", divisors, moves)
+
+
+def _search(rank: int, relators: list[Word], budget: int) -> tuple[int, tuple[Move, ...]]:
+    """Greedy Tietze search from ``(rank, relators)``, left as they are:
+    the rank it ends at (0 when trivial) and at most ``budget`` moves.
+
+    Move order per round: (a) free+cyclic reduction of all relators,
+    (b) deleting a generator whose relator is a bare ``x^+-1``,
+    (c) Tietze elimination of a generator occurring exactly once in some
+    relator, (d) greedy length-reducing relator multiplication over all
+    cyclic rotations.
+    """
     moves: list[Move] = []
     while rank and len(moves) < budget:
         # right after a ("reduce",) move the relators are canonical already
@@ -301,7 +307,7 @@ def simplify(pres: Presentation, budget: int = DEFAULT_BUDGET) -> TrivialityVerd
                 break
             rank, relators = apply_move(rank, relators, move)
         moves.append(move)
-    return TrivialityVerdict("Unknown" if rank else "Trivial", divisors, tuple(moves))
+    return rank, tuple(moves)
 
 
 def _pick_structural(relators: list[Word]) -> Move | None:

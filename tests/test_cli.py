@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -70,6 +71,20 @@ def test_verify_and_simplify_roundtrip(tmp_path, capsys):
     assert verdict["moves"]
     code, out, _ = run(capsys, "simplify", "--file", str(path))
     assert "moves" not in json.loads(out)
+
+
+def test_simplify_emit_log_keeps_its_first_start_log(tmp_path, capsys):
+    # the bytes of a stall: a restart of the search must leave this first
+    # start's log as it is
+    path = tmp_path / "pres.txt"
+    assert run(capsys, "gen-presentation", "--hex", "1,-3,-4,-3,1,0", "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "simplify", "--file", str(path), "--emit-log")
+    assert code == 0
+    verdict = json.loads(out)
+    assert (verdict["tag"], verdict["budget_spent"]) == ("Unknown", 11)
+    assert verdict["budget_spent"] < triviality.DEFAULT_BUDGET
+    digest = "287321d7a27992d6b1b39371d56edfb4874947e2a06064de95e45682a6a4ea7e"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_artin_bad_file(tmp_path, capsys):
@@ -176,6 +191,22 @@ def test_parse_cell(capsys):
     assert out.splitlines() == ["canonical 0", "values 0"]
     code, _, err = run(capsys, "parse-cell", "2gamma")
     assert code == 1
+
+
+def test_parse_cell_refuses_an_unbound_variable_before_printing(capsys):
+    code, out, err = run(capsys, "parse-cell", "alpha", "--assign", "beta=3")
+    assert (code, out) == (1, "")
+    assert err == "error: unbound variable 'alpha'\n"
+
+
+def test_validate_symmetries_refuses_a_bad_table_before_printing(tmp_path, monkeypatch, capsys):
+    # the control report is not printed ahead of the table's error
+    code, out, err = run_on_data(
+        tmp_path, monkeypatch, capsys, ("validate-symmetries",),
+        "2\tbeta\tgamma\t", "2\tbeta\tbeta\t", edited="symmetries.tsv",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: symmetries.tsv row 2: symmetry 2 is not a bijection on slots\n"
 
 
 def test_run_tables_tsv_and_json(tmp_path, capsys):

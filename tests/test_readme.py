@@ -1,9 +1,12 @@
+import dataclasses
 import doctest
+import itertools
 from pathlib import Path
 
-from artinhexa.artin import linking_matrix
-from artinhexa.hexa import HexFilling, instantiate_row, to_surgery
-from artinhexa.tables import load_table
+from artinhexa.artin import gen_from_hex, linking_matrix
+from artinhexa.hexa import HexFilling, instantiate_row, parse_cell, to_surgery
+from artinhexa.tables import load_symmetries, load_table
+from artinhexa.triviality import abelian_invariants, replay, simplify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,10 +25,81 @@ def det3(m):
 def test_findings_table3_row36_one_digit_slip():
     # README *Findings*: the bundled table 3 row 36 has determinant
     # -4*alpha-2 for every alpha, and -1 throughout with beta = 2
-    (row36,) = [row for row in load_table(3) if row.row == 36]
     for alpha in range(-5, 6):
         bundled = HexFilling(alpha, 1, -3, -1, -2, 1)
-        assert [h for _, h in instantiate_row(row36, {"alpha": alpha})] == [bundled]
+        assert [h for _, h in instantiate_row(row36(), {"alpha": alpha})] == [bundled]
         assert det3(linking_matrix(to_surgery(bundled))) == -4 * alpha - 2
         beta2 = HexFilling(alpha, 2, -3, -1, -2, 1)
         assert det3(linking_matrix(to_surgery(beta2))) == -1
+
+
+# S3 as the permutations of (0, 1, 2); p[i] is the image of i
+IDENTITY = (0, 1, 2)
+S3 = tuple(itertools.permutations(IDENTITY))
+# images of x1, x2, x3; x1 is a 3-cycle and x2 a transposition, so they generate S3
+STORED_S3_IMAGES = ((1, 2, 0), (0, 2, 1), (2, 0, 1))
+
+
+def then(p, q):
+    """The permutation ``p`` followed by ``q``."""
+    return tuple(q[i] for i in p)
+
+
+def s3_image(word, images):
+    image = IDENTITY
+    for g, e in word.syllables:
+        step = images[g - 1] if e > 0 else tuple(sorted(IDENTITY, key=images[g - 1].__getitem__))
+        for _ in range(abs(e) % 6):  # every element of S3 has order dividing 6
+            image = then(image, step)
+    return image
+
+
+def kills_every_relator(pres, images):
+    return all(s3_image(r, images) == IDENTITY for r in pres.relators)
+
+
+def row36(beta=None):
+    """Table 3 row 36 as bundled, or with its beta cell ``1`` put as ``beta``."""
+    (row,) = [row for row in load_table(3) if row.row == 36]
+    if beta is None:
+        return row
+    k = row.column_order.index("beta")
+    assert row.cells[k] == parse_cell("1")
+    return dataclasses.replace(row, cells=(*row.cells[:k], parse_cell(beta), *row.cells[k + 1 :]))
+
+
+def test_findings_table3_row36_maps_onto_s3_exactly_when_3_divides_4alpha_plus_2():
+    # README *Findings*: at alpha in {-5, -2, 1, 4} the stored images kill
+    # every relator, and x1, x2 do not commute, so the group maps onto S3
+    # and is not cyclic; at the other alpha no triple with a noncommuting
+    # pair does
+    x1, x2, _ = STORED_S3_IMAGES
+    assert then(x1, x2) != then(x2, x1)
+    for alpha in range(-5, 6):
+        ((_, filling),) = instantiate_row(row36(), {"alpha": alpha})
+        pres = gen_from_hex(filling)
+        if (4 * alpha + 2) % 3 == 0:
+            assert alpha in (-5, -2, 1, 4)
+            assert kills_every_relator(pres, STORED_S3_IMAGES), alpha
+        else:
+            for images in itertools.product(S3, repeat=3):
+                if any(then(a, b) != then(b, a) for a, b in itertools.combinations(images, 2)):
+                    assert not kills_every_relator(pres, images), (alpha, images)
+
+
+def test_findings_table3_row36_with_beta_2_is_certified_trivial():
+    # README *Findings*: with beta = 2 each identity image is Trivial in 5
+    # moves that replay to the empty presentation, and every symmetry image
+    # has divisors 1,1,1; some of those stall as Unknown, so only their
+    # divisors are checked
+    symmetries = load_symmetries()
+    assert len(symmetries) == 24
+    for alpha in range(-5, 6):
+        ((_, filling),) = instantiate_row(row36("2"), {"alpha": alpha})
+        assert filling == HexFilling(alpha, 2, -3, -1, -2, 1)
+        pres = gen_from_hex(filling)
+        verdict = simplify(pres)
+        assert (verdict.tag, len(verdict.moves)) == ("Trivial", 5), alpha
+        assert replay(pres, verdict.moves) == (0, ())
+        for sym in symmetries:
+            assert abelian_invariants(gen_from_hex(sym.apply(filling))) == (1, 1, 1), (alpha, sym.index)

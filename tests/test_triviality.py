@@ -11,7 +11,6 @@ from artinhexa.artin import Presentation, gen_from_hex
 from artinhexa.hexa import HexFilling
 from artinhexa.pipeline import build_tasks
 from artinhexa.triviality import (
-    TrivialityVerdict,
     abelian_invariants,
     apply_move,
     replay,
@@ -390,6 +389,19 @@ def test_move_logs_match_golden_digest(request, tables, param_range, symmetries,
     assert hashlib.sha256(text.encode()).hexdigest() == LOG_DIGESTS[request.node.callspec.id]
 
 
+# Unknown verdicts per workload and the most moves any of them spent
+STALLS = {"sweep": (90, 15), "long-words": (23, 40)}
+
+
+@WORKLOADS
+def test_every_unknown_is_a_stall(request, tables, param_range, symmetries, distinct):
+    # an Unknown that spent less than the budget is a stall, not a run-out
+    _, _, verdicts = distinct_verdicts(tables, param_range, symmetries)
+    spent = [len(v["moves"]) for v in verdicts if v["tag"] == "Unknown"]
+    assert (len(spent), max(spent)) == STALLS[request.node.callspec.id]
+    assert max(spent) < triviality.DEFAULT_BUDGET
+
+
 @WORKLOADS
 def test_best_mult_matches_candidate_word_reference(
     monkeypatch, tables, param_range, symmetries, distinct
@@ -398,8 +410,9 @@ def test_best_mult_matches_candidate_word_reference(
     assert len(fillings) == distinct
     assert any(m[0] == "mult" for v in fast for m in v["moves"])
     monkeypatch.setattr(triviality, "_best_mult", reference_best_mult)
-    for filling, p, verdict in zip(fillings, presentations, fast):
-        assert simplify(p).as_json_dict() == verdict, filling
+    for filling, p, outcome in searched(fillings, presentations, fast):
+        rank, moves = triviality._search(p.rank, list(p.relators), triviality.DEFAULT_BUDGET)
+        assert (rank == 0, [list(m) for m in moves]) == outcome, filling
 
 
 def reference_canonical(relators):
@@ -419,15 +432,11 @@ def reference_eliminate(relators, rel_index, gen, repl):
     return [renumber(replace(r)) for k, r in enumerate(relators) if k != rel_index]
 
 
-def reference_simplify(pres):
-    """The search loop with a canonical pass in every round, also the one
-    right after a ``("reduce",)`` move."""
-    divisors = abelian_invariants(pres)
-    if any(d != 1 for d in divisors):
-        return TrivialityVerdict("NotTrivial", divisors, ())
-    rank, relators = pres.rank, list(pres.relators)
+def reference_search(rank, relators, budget):
+    """``_search`` with a canonical pass in every round, also the one right
+    after a ``("reduce",)`` move."""
     moves = []
-    while rank and len(moves) < triviality.DEFAULT_BUDGET:
+    while rank and len(moves) < budget:
         canonical = triviality._canonical(relators)
         if canonical != relators:
             move = ("reduce",)
@@ -438,7 +447,16 @@ def reference_simplify(pres):
                 break
             rank, relators = triviality.apply_move(rank, relators, move)
         moves.append(move)
-    return TrivialityVerdict("Unknown" if rank else "Trivial", divisors, tuple(moves))
+    return rank, tuple(moves)
+
+
+def searched(fillings, presentations, verdicts):
+    """The distinct fillings whose divisors are all 1, the only ones
+    ``simplify`` runs ``_search`` on, each with the search's outcome read
+    off its verdict: whether it reached rank 0, and its moves."""
+    for filling, p, verdict in zip(fillings, presentations, verdicts):
+        if all(d == 1 for d in verdict["divisors"]):
+            yield filling, p, (verdict["tag"] == "Trivial", verdict["moves"])
 
 
 @WORKLOADS
@@ -451,5 +469,6 @@ def test_search_matches_reference_canonical_and_elimination(
     assert {"reduce", "kill", "subst"} <= kinds
     monkeypatch.setattr(triviality, "_canonical", reference_canonical)
     monkeypatch.setattr(triviality, "_eliminate", reference_eliminate)
-    for filling, p, verdict in zip(fillings, presentations, fast):
-        assert reference_simplify(p).as_json_dict() == verdict, filling
+    for filling, p, outcome in searched(fillings, presentations, fast):
+        rank, moves = reference_search(p.rank, list(p.relators), triviality.DEFAULT_BUDGET)
+        assert (rank == 0, [list(m) for m in moves]) == outcome, filling
