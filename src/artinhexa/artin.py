@@ -11,7 +11,7 @@ presentation can satisfy in the free group are checked exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .hexa import HexFilling, SurgeryParams, to_surgery
@@ -22,19 +22,20 @@ class PresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Presentation:
-    rank: int
-    relators: tuple[Word, ...]
+class Presentation(namedtuple("Presentation", "rank relators")):
+    """A named tuple that checks its rank and relators when built."""
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise PresentationError(f"rank {self.rank} is negative")
-        for r in self.relators:
-            if r.max_generator() > self.rank:
-                raise PresentationError(
-                    f"relator {serialize_word(r)} exceeds rank {self.rank}"
-                )
+    __slots__ = ()
+
+    def __new__(cls, rank: int, relators: tuple[Word, ...]):
+        if rank < 0:
+            raise PresentationError(f"rank {rank} is negative")
+        for r in relators:
+            if r.max_generator() > rank:
+                raise PresentationError(f"relator {serialize_word(r)} exceeds rank {rank}")
+        return tuple.__new__(cls, (rank, relators))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def serialized_relators(self) -> tuple[str, ...]:
         return tuple(serialize_word(r) for r in self.relators)

@@ -8,7 +8,6 @@ SIGPIPE, nothing printed) when the reader closes standard output early.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -108,6 +107,8 @@ def _cmd_verify_artin(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
+    import json
+
     pres = _load_presentation(args.file)
     verdict = triviality.simplify(pres, args.budget)
     payload = verdict.as_json_dict()

@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple
 
 from .braids import PureBraid
-from .words import _clip, parse_int
+from .words import _clip, _frozen, parse_int
 
 SLOTS = ("alpha", "beta", "gamma", "delta", "epsilon", "eta")
 _SLOT_INDEX = {name: i for i, name in enumerate(SLOTS)}
@@ -54,19 +54,34 @@ class HexFilling(NamedTuple):
         return ",".join(map(str, self))
 
 
-@dataclass(frozen=True, slots=True)
 class HexSymmetry:
     """One row of the symmetry table: ``sources[i]`` is the slot whose old
-    value the canonical slot ``SLOTS[i]`` takes."""
+    value the canonical slot ``SLOTS[i]`` takes.  Frozen; ``_pick`` is derived."""
 
-    index: int
-    sources: tuple[str, ...]
-    _pick: operator.itemgetter = field(init=False, repr=False, compare=False)
+    __slots__ = ("index", "sources", "_pick")
 
-    def __post_init__(self):
-        if sorted(self.sources) != sorted(SLOTS):
-            raise HexError(f"symmetry {self.index} is not a bijection on slots")
-        object.__setattr__(self, "_pick", operator.itemgetter(*map(_SLOT_INDEX.get, self.sources)))
+    def __init__(self, index: int, sources: tuple[str, ...]):
+        if sorted(sources) != sorted(SLOTS):
+            raise HexError(f"symmetry {index} is not a bijection on slots")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "_pick", operator.itemgetter(*map(_SLOT_INDEX.get, sources)))
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not HexSymmetry:
+            return NotImplemented
+        return self.index == other.index and self.sources == other.sources
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.sources))
+
+    def __repr__(self) -> str:
+        return f"HexSymmetry(index={self.index!r}, sources={self.sources!r})"
+
+    def __reduce__(self):
+        return HexSymmetry, (self.index, self.sources)
 
     def apply(self, h: HexFilling) -> HexFilling:
         return HexFilling(*self._pick(h))
@@ -218,26 +233,25 @@ def to_surgery(h: HexFilling) -> SurgeryParams:
     return SurgeryParams(-a - d - h_, -b - d - g - h_, -e - g - h_, -h_, -d, -g)
 
 
-@dataclass(frozen=True, slots=True)
-class LinearCell:
+class LinearCell(namedtuple("LinearCell", "pm c0 c1 var")):
     """A table cell: an optional leading +- sign on the constant, plus at
     most one slot variable with coefficient +-1.  Value(s) are
-    ``(+-c0) + c1 * var``."""
+    ``(+-c0) + c1 * var``.  A named tuple that checks its fields when built."""
 
-    pm: bool = False
-    c0: int = 0
-    c1: int = 0
-    var: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.var is not None and self.var not in SLOTS:
-            raise HexError(f"unknown variable {self.var!r}")
-        if (self.var is None) != (self.c1 == 0):
+    def __new__(cls, pm: bool = False, c0: int = 0, c1: int = 0, var: str | None = None):
+        if var is not None and var not in SLOTS:
+            raise HexError(f"unknown variable {var!r}")
+        if (var is None) != (c1 == 0):
             raise HexError("variable and coefficient must come together")
-        if self.c1 not in (-1, 0, 1):
-            raise HexError(f"variable coefficient {self.c1} not in -1..1")
-        if self.pm and self.c0 <= 0:
+        if c1 not in (-1, 0, 1):
+            raise HexError(f"variable coefficient {c1} not in -1..1")
+        if pm and c0 <= 0:
             raise HexError("pm cells need a positive constant part")
+        return tuple.__new__(cls, (pm, c0, c1, var))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def values(self, assignment: Mapping[str, int]) -> tuple[int, ...]:
         """Concrete value(s); pm cells give the + branch first."""
@@ -301,22 +315,23 @@ def serialize_cell(cell: LinearCell) -> str:
     return f"{cell.c0}{'+' if cell.c1 > 0 else '-'}{cell.var}"
 
 
-@dataclass(frozen=True)
-class ParamRow:
-    """One table row: six cells in the table's own (declared) column order."""
+class ParamRow(namedtuple("ParamRow", "table_id row column_order cells")):
+    """One table row: six cells in the table's own (declared) column order.
+    A named tuple that checks its fields when built."""
 
-    table_id: int
-    row: int
-    column_order: tuple[str, ...]
-    cells: tuple[LinearCell, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.column_order) != sorted(SLOTS):
-            raise HexError(f"bad column order {self.column_order}")
-        if len(self.cells) != 6:
+    def __new__(cls, table_id, row, column_order: tuple[str, ...], cells: tuple[LinearCell, ...]):
+        if sorted(column_order) != sorted(SLOTS):
+            raise HexError(f"bad column order {column_order}")
+        if len(cells) != 6:
             raise HexError("a row needs exactly 6 cells")
+        self = tuple.__new__(cls, (table_id, row, column_order, cells))
         if len(self.variables()) > 2:
-            raise HexError(f"row {self.table_id}.{self.row} has >2 free variables")
+            raise HexError(f"row {table_id}.{row} has >2 free variables")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def variables(self) -> tuple[str, ...]:
         seen = []

@@ -22,7 +22,6 @@ size, so memory does not grow with the parameter range.
 from __future__ import annotations
 
 import itertools
-import json
 import marshal
 import os
 from dataclasses import dataclass
@@ -391,6 +390,8 @@ def _table_lines(columns: Sequence[str], records: Iterable[Sequence], as_json: b
         for cells in records:
             yield "\t".join(cells) + "\n"
         return
+    import json
+
     yield "["
     sep = ""
     for cells in records:

@@ -12,7 +12,6 @@ list.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 Syllable = tuple[int, int]
@@ -52,16 +51,21 @@ def _reduce_syllables(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the slotted records."""
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
 class Word:
     """A freely reduced word.  Construct via :func:`reduce_word` or the
-    parser; the constructor only checks the reducedness invariant."""
+    parser; the constructor only checks the reducedness invariant.  Frozen,
+    and equal only to another ``Word``, never to a bare tuple."""
 
-    syllables: tuple[Syllable, ...] = ()
+    __slots__ = ("syllables",)
 
-    def __post_init__(self):
+    def __init__(self, syllables: tuple[Syllable, ...] = ()):
         prev = 0
-        for gen, exp in self.syllables:
+        for gen, exp in syllables:
             if gen < 1:
                 raise WordError(f"generator index {gen} out of range")
             if exp == 0:
@@ -69,6 +73,21 @@ class Word:
             if gen == prev:
                 raise WordError(f"unreduced word: repeated generator {gen}")
             prev = gen
+        _set_syllables(self, syllables)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        return self.syllables == other.syllables if other.__class__ is Word else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.syllables,))
+
+    def __repr__(self) -> str:
+        return f"Word(syllables={self.syllables!r})"
+
+    def __reduce__(self):
+        return Word, (self.syllables,)
 
     def __mul__(self, other: "Word") -> "Word":
         return concat(self, other)
@@ -88,10 +107,10 @@ class Word:
         return max(self.syllables)[0] if self.syllables else 0
 
 
-IDENTITY = Word()
-
 _new = object.__new__
 _set_syllables = Word.syllables.__set__
+
+IDENTITY = Word()
 
 
 def _word(syllables: tuple[Syllable, ...]) -> Word:

@@ -491,17 +491,18 @@ def test_write_error_removes_the_partial_file(tmp_path, monkeypatch, capsys):
 
 def test_jobs_1_imports_no_pool(tmp_path):
     # no command imports multiprocessing: --jobs > 1 forks its workers
-    # itself, here two whatever this host has
+    # itself, here two whatever this host has; and TSV runs leave json
+    # unimported, since only the JSON writers import it
     code = (
         "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; from artinhexa.cli import main; "
         f"main(['run-tables', '--tables', '1', '--param-range=0..0', '--out', {str(tmp_path / 'r.tsv')!r}]); "
         f"main(['run-tables', '--tables', '1', '--param-range=0..0', '--jobs', '2', '--out', {str(tmp_path / 'r2.tsv')!r}]); "
         "main(['match-examples', '--tables', '1', '--param-range=0..0', '--jobs', '2']); "
-        "print('multiprocessing' in sys.modules)"
+        "print('multiprocessing' in sys.modules, 'json' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "False"
+    assert out.stdout.splitlines()[-1] == "False False"
     assert (tmp_path / "r.tsv").read_bytes() == (tmp_path / "r2.tsv").read_bytes()
 
 

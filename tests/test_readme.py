@@ -1,4 +1,3 @@
-import dataclasses
 import doctest
 import itertools
 from pathlib import Path
@@ -65,7 +64,7 @@ def row36(beta=None):
         return row
     k = row.column_order.index("beta")
     assert row.cells[k] == parse_cell("1")
-    return dataclasses.replace(row, cells=(*row.cells[:k], parse_cell(beta), *row.cells[k + 1 :]))
+    return row._replace(cells=(*row.cells[:k], parse_cell(beta), *row.cells[k + 1 :]))
 
 
 def test_findings_table3_row36_maps_onto_s3_exactly_when_3_divides_4alpha_plus_2():
