@@ -40,7 +40,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _load_presentation(path: str) -> artin.Presentation:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
     head = lines[0][1].split() if lines else []
     if len(head) != 2 or head[0] != "rank":

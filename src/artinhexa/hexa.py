@@ -14,10 +14,11 @@ import itertools
 import operator
 import re
 from collections import namedtuple
+from functools import cache
 from typing import Iterable, Mapping, NamedTuple
 
 from .braids import PureBraid
-from .words import _clip, _frozen, parse_int
+from .words import _clip, parse_int
 
 SLOTS = ("alpha", "beta", "gamma", "delta", "epsilon", "eta")
 _SLOT_INDEX = {name: i for i, name in enumerate(SLOTS)}
@@ -54,37 +55,29 @@ class HexFilling(NamedTuple):
         return ",".join(map(str, self))
 
 
-class HexSymmetry:
+@cache
+def _picker(sources: tuple[str, ...]):
+    """The slot picker of a symmetry; at most 720 keys, one per permutation
+    of the slots."""
+    return operator.itemgetter(*map(_SLOT_INDEX.get, sources))
+
+
+class HexSymmetry(namedtuple("HexSymmetry", "index sources")):
     """One row of the symmetry table: ``sources[i]`` is the slot whose old
-    value the canonical slot ``SLOTS[i]`` takes.  Frozen; ``_pick`` is derived."""
+    value the canonical slot ``SLOTS[i]`` takes.  A named tuple that checks
+    its fields when built."""
 
-    __slots__ = ("index", "sources", "_pick")
+    __slots__ = ()
 
-    def __init__(self, index: int, sources: tuple[str, ...]):
+    def __new__(cls, index: int, sources: tuple[str, ...]):
         if sorted(sources) != sorted(SLOTS):
             raise HexError(f"symmetry {index} is not a bijection on slots")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "_pick", operator.itemgetter(*map(_SLOT_INDEX.get, sources)))
+        return tuple.__new__(cls, (index, sources))
 
-    __setattr__ = __delattr__ = _frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not HexSymmetry:
-            return NotImplemented
-        return self.index == other.index and self.sources == other.sources
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.sources))
-
-    def __repr__(self) -> str:
-        return f"HexSymmetry(index={self.index!r}, sources={self.sources!r})"
-
-    def __reduce__(self):
-        return HexSymmetry, (self.index, self.sources)
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def apply(self, h: HexFilling) -> HexFilling:
-        return HexFilling(*self._pick(h))
+        return HexFilling(*_picker(self.sources)(h))
 
     def compose(self, other: "HexSymmetry") -> tuple[str, ...]:
         """Sources of `apply other first, then self` (index is not tracked)."""
@@ -334,11 +327,7 @@ class ParamRow(namedtuple("ParamRow", "table_id row column_order cells")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def variables(self) -> tuple[str, ...]:
-        seen = []
-        for cell in self.cells:
-            if cell.var is not None and cell.var not in seen:
-                seen.append(cell.var)
-        return tuple(seen)
+        return tuple(dict.fromkeys(cell.var for cell in self.cells if cell.var is not None))
 
 
 def instantiate_row(

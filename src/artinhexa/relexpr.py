@@ -47,23 +47,22 @@ class RelatorExpr(NamedTuple):
     text: str
 
     def variables(self) -> tuple[str, ...]:
-        seen: list[str] = []
-
-        def walk(factors):
-            for f in factors:
-                if f.exp.var is not None and f.exp.var not in seen:
-                    seen.append(f.exp.var)
-                if not isinstance(f.base, int):
-                    walk(f.base)
-
-        walk(self.factors)
-        return tuple(seen)
+        return tuple(dict.fromkeys(_exponent_vars(self.factors)))
 
     def instantiate(self, assignment: Mapping[str, int] | None = None) -> Word:
         """The word at ``assignment``: the factors are spelled out into one
         syllable list, reduced once.  Free reduction is confluent, so this
         is the reduced product of the factors' powers."""
         return _word(_reduce_syllables(_spell(self.factors, assignment or {})))
+
+
+def _exponent_vars(factors: tuple[Factor, ...]):
+    """The exponent variables of ``factors`` and their groups, in order."""
+    for f in factors:
+        if f.exp.var is not None:
+            yield f.exp.var
+        if not isinstance(f.base, int):
+            yield from _exponent_vars(f.base)
 
 
 def _spell(factors: tuple[Factor, ...], assignment: Mapping[str, int]) -> list[Syllable]:

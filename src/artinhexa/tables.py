@@ -1,17 +1,17 @@
 """Bundled table data: the three parameter tables, the symmetry table, and
 the six example-presentation tables.
 
-Files live under ``artinhexa/data`` and can be overridden by pointing the
-``ARTINHEXA_DATA`` environment variable at a directory with the same file
-names.  Loaders keep each table's printed column order; reordering into the
-canonical slot order happens only at instantiation time.
+Files are read with one ``open`` from the package's ``data`` directory, or
+from the directory that ``ARTINHEXA_DATA`` names (empty counts as unset); a
+byte that is not UTF-8 is refused at its row.  Loaders keep each table's
+printed column order; reordering into the canonical slot order happens only
+at instantiation time.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
-from importlib.resources import files
 from typing import NamedTuple
 
 from .hexa import SLOTS, HexSymmetry, ParamRow, parse_cell
@@ -29,14 +29,13 @@ class TableError(ValueError):
 
 
 def read_data_text(name: str) -> str:
-    override = os.environ.get(DATA_ENV)
-    if override:
-        path = os.path.join(override, name)
-        if not os.path.exists(path):
-            raise TableError(f"{DATA_ENV} set but {path} is missing")
-        with open(path, encoding="utf-8") as fh:
+    data_dir = os.environ.get(DATA_ENV) or os.path.join(os.path.dirname(__file__), "data")
+    path = os.path.join(data_dir, name)
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return fh.read()
-    return files("artinhexa").joinpath("data", name).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise TableError(f"data file {path} is missing") from None
 
 
 def _read(name: str, width: int, build, header: bool = True) -> tuple:
@@ -120,12 +119,7 @@ class ExampleRow(NamedTuple):
     relators: tuple[RelatorExpr, RelatorExpr, RelatorExpr]
 
     def variables(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for r in self.relators:
-            for v in r.variables():
-                if v not in seen:
-                    seen.append(v)
-        return tuple(seen)
+        return tuple(dict.fromkeys(v for r in self.relators for v in r.variables()))
 
 
 @lru_cache(maxsize=None)

@@ -52,7 +52,7 @@ def _reduce_syllables(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
 
 
 def _frozen(self, name, value=None):
-    """``__setattr__`` and ``__delattr__`` of the slotted records."""
+    """``__setattr__`` and ``__delattr__`` of ``Word``, the one slotted record."""
     raise AttributeError(f"cannot assign to or delete field {name!r}")
 
 

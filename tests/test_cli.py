@@ -128,6 +128,14 @@ def test_simplify_rejects_bad_rank_line(tmp_path, capsys, text, message):
     assert err.startswith("error:") and message in err
 
 
+def test_simplify_refuses_a_byte_that_is_not_utf8_at_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"rank 3\nx1\xff\nx2\nx3\n")
+    code, out, err = run(capsys, "simplify", "--file", str(path))
+    assert code == 1 and out == ""
+    assert f"error: {path} line 2: expected syllable, got 'x1\\udcff'" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

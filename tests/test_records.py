@@ -3,7 +3,7 @@ picklable, with a ``Name(field=value, ...)`` repr and their fields in a
 fixed order; the ones that check their fields refuse bad values however
 they are built.  Also what the benchmark's traced run relies on, and a
 start-up guard that counts the classes built as dataclasses and looks for
-``json``."""
+``json`` and ``importlib.resources``."""
 
 import dataclasses
 import json
@@ -100,6 +100,7 @@ def test_a_word_equals_only_a_word():
 def test_checked_named_tuples_equal_plain_tuples():
     assert CELL == (True, 2, -1, "gamma") and hash(CELL) == hash((True, 2, -1, "gamma"))
     assert PRES == (PRES.rank, PRES.relators)
+    assert SYMMETRY == (2, SYMMETRY.sources) and hash(SYMMETRY) == hash((2, SYMMETRY.sources))
 
 
 def test_symmetry_is_compared_without_its_picker():
@@ -223,3 +224,11 @@ def test_startup_builds_only_the_expected_dataclasses():
     assert not json_at_startup and not freeprod_at_startup
     assert at_startup == ["pipeline.ReportRow"]
     assert everywhere == ["freeprod.FPWord", "pipeline.ReportRow"]
+
+
+def test_startup_does_not_import_importlib_resources():
+    # -S: a site-packages .pth file may import importlib.resources itself
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
+    code = "import sys, artinhexa.cli; print('importlib.resources' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

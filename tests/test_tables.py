@@ -118,7 +118,7 @@ def test_data_env_missing_file(tmp_path, monkeypatch):
     monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
     load_table.cache_clear()
     try:
-        with pytest.raises(TableError):
+        with pytest.raises(TableError, match=f"{tmp_path / 'table1.tsv'} is missing"):
             load_table(1)
     finally:
         monkeypatch.delenv(tables.DATA_ENV)
@@ -135,6 +135,21 @@ LOADERS = {
 def _clear_caches():
     for loader in (load_table, load_symmetries, load_examples):
         loader.cache_clear()
+
+
+def test_data_byte_that_is_not_utf8_is_refused_at_its_row(tmp_path, monkeypatch):
+    # a copy of the bundled table 1 with a line holding one byte 0xff
+    text = read_data_text("table1.tsv").encode("utf-8")
+    (tmp_path / "table1.tsv").write_bytes(text + b"\xff\n")
+    line = text.count(b"\n") + 1
+    monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
+    _clear_caches()
+    try:
+        with pytest.raises(TableError, match=rf"table1\.tsv line {line}: expected row number"):
+            load_table(1)
+    finally:
+        monkeypatch.delenv(tables.DATA_ENV)
+        _clear_caches()
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
