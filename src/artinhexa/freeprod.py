@@ -61,9 +61,6 @@ class FPWord:
     def __len__(self) -> int:
         return len(self.syllables)
 
-    def __str__(self) -> str:
-        return serialize_fp_word(self)
-
 
 FP_IDENTITY = FPWord()
 D = FPWord((D_SYL,))

@@ -2,10 +2,13 @@
 the six example-presentation tables.
 
 Files are read with one ``open`` from the package's ``data`` directory, or
-from the directory that ``ARTINHEXA_DATA`` names (empty counts as unset); a
-byte that is not UTF-8 is refused at its row.  Loaders keep each table's
-printed column order; reordering into the canonical slot order happens only
-at instantiation time.
+from the directory that ``ARTINHEXA_DATA`` names (empty counts as unset).
+A line ends at a line feed, a carriage return or the pair of them, as a
+text-mode file splits it and as presentation files are read: a form feed or
+U+2028 stays in its row, whose parser takes it as whitespace or refuses it,
+and a byte that is not UTF-8 is refused at its row.
+Loaders keep each table's printed column order; reordering into the
+canonical slot order happens only at instantiation time.
 """
 
 from __future__ import annotations
@@ -28,27 +31,20 @@ class TableError(ValueError):
     pass
 
 
-def read_data_text(name: str) -> str:
-    data_dir = os.environ.get(DATA_ENV) or os.path.join(os.path.dirname(__file__), "data")
-    path = os.path.join(data_dir, name)
-    try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise TableError(f"data file {path} is missing") from None
-
-
 def _read(name: str, width: int, build, header: bool = True) -> tuple:
     """``build(order, number, cells)`` for each row of data file ``name``,
     where ``order`` is the declared column order (empty without a header
     line) and each row has its number and ``width`` cells.  An error in a
     row is raised as a ``TableError`` naming the file and the row, or where
     the row has no number yet, the file and the line (blank lines count)."""
-    lines = [
-        (n, [cell.strip() for cell in line.split("\t")])
-        for n, line in enumerate(read_data_text(name).splitlines(), 1)
-        if line.strip()
-    ]
+    path = os.path.join(os.environ.get(DATA_ENV) or os.path.join(os.path.dirname(__file__), "data"), name)
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            lines = [
+                (n, [cell.strip() for cell in line.split("\t")]) for n, line in enumerate(fh, 1) if line.strip()
+            ]
+    except FileNotFoundError:
+        raise TableError(f"data file {path} is missing") from None
     if not lines:
         raise TableError(f"{name} is empty")
     order: tuple[str, ...] = ()

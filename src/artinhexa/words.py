@@ -29,11 +29,14 @@ class WordSyntaxError(WordError):
         self.position = position
 
 
-def _clip(text: str, limit: int = 40) -> str:
-    """``repr(text)`` cut after ``limit`` characters, for error messages
-    that echo their input."""
-    shown = repr(text[: limit + 1])
-    return shown if len(shown) <= limit + 2 else shown[: limit + 1] + "..."
+_CLIP_LIMIT = 40
+
+
+def _clip(text: str) -> str:
+    """``repr(text)`` cut after ``_CLIP_LIMIT`` characters, for error
+    messages that echo their input."""
+    shown = repr(text[: _CLIP_LIMIT + 1])
+    return shown if len(shown) <= _CLIP_LIMIT + 2 else shown[: _CLIP_LIMIT + 1] + "..."
 
 
 def _reduce_syllables(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:

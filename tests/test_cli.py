@@ -118,6 +118,8 @@ def test_simplify_negative_rank_file(tmp_path, capsys):
         ("rank 3\nx1*x2\nx1*y2\nx3\n", "pres.txt line 3: expected syllable, got 'y2' (at position 3)"),
         ("\nrank 3\n\nx1*x2^\n", "pres.txt line 4: expected syllable, got 'x2^' (at position 3)"),
         ("rank 3\nx1\nx4\n", "error: relator x4 exceeds rank 3\n"),
+        # a form feed ends no line, as in a data file
+        ("rank 3\nx1\f\nx2\nx1*y2\n", "pres.txt line 4: expected syllable, got 'y2' (at position 3)"),
     ],
 )
 def test_simplify_rejects_bad_rank_line(tmp_path, capsys, text, message):
@@ -177,6 +179,8 @@ def test_rho(capsys):
 def test_symmetry_and_orbit(capsys):
     code, out, _ = run(capsys, "symmetry", "--index", "3", "--hex", "1,2,3,4,5,6")
     assert code == 0 and out.strip() == "3,1,2,6,4,5"
+    code, out, err = run(capsys, "symmetry", "--index", "25", "--hex", "1,2,3,4,5,6")
+    assert (code, out, err) == (1, "", "error: no symmetry with index 25\n")
     code, out, _ = run(capsys, "orbit", "--hex", "0,0,0,0,0,0")
     assert out.strip() == "0,0,0,0,0,0"
     code, out, _ = run(capsys, "orbit", "--hex", "1,0,0,0,0,0", "--mirror", "on")
@@ -207,14 +211,28 @@ def test_parse_cell_refuses_an_unbound_variable_before_printing(capsys):
     assert err == "error: unbound variable 'alpha'\n"
 
 
-def test_validate_symmetries_refuses_a_bad_table_before_printing(tmp_path, monkeypatch, capsys):
+def test_validate_symmetries_refuses_a_bad_table_before_printing(data_copy, capsys):
     # the control report is not printed ahead of the table's error
     code, out, err = run_on_data(
-        tmp_path, monkeypatch, capsys, ("validate-symmetries",),
+        data_copy, capsys, ("validate-symmetries",),
         "2\tbeta\tgamma\t", "2\tbeta\tbeta\t", edited="symmetries.tsv",
     )
     assert (code, out) == (1, "")
     assert err == "error: symmetries.tsv row 2: symmetry 2 is not a bijection on slots\n"
+
+
+def test_validate_symmetries_reports_a_table_that_fails_its_checks(data_copy, capsys):
+    # row 2 made equal to row 1 loads, but fails two checks; the exit status
+    # reports the control, which passes
+    code, out, err = run_on_data(
+        data_copy, capsys, ("validate-symmetries",),
+        "2\tbeta\tgamma\talpha\tepsilon\tdelta\teta\n", "2\talpha\tbeta\tgamma\tdelta\teta\tepsilon\n",
+        edited="symmetries.tsv",
+    )
+    assert (code, err) == (0, "")
+    assert "\n  distinct assignments: FAIL ((1, 2),)\n" in out
+    assert "\n  closed under composition: FAIL ((3, 3), (4, 8), " in out
+    assert out.endswith("\ndiscrepancy report: bundled table FAILED checks above\n")
 
 
 def test_run_tables_tsv_and_json(tmp_path, capsys):
@@ -299,43 +317,38 @@ def test_match_examples_refuses_a_filling_no_example_can_match(tmp_path, monkeyp
     assert not out_path.exists()
 
 
-def run_on_data(tmp_path, monkeypatch, capsys, argv, old, new, edited="examples5.tsv"):
+def replaced(old, new):
+    """A ``data_copy`` edit that replaces the first ``old``, which must
+    occur, by ``new``."""
+
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, 1)
+
+    return edit
+
+
+def run_on_data(data_copy, capsys, argv, old, new, edited="examples5.tsv"):
     """Run the command on a copy of the bundled data whose file ``edited``
     has its first ``old`` replaced by ``new``."""
-    names = [f"table{t}.tsv" for t in tables.PARAM_TABLES] + ["symmetries.tsv"]
-    names += [f"examples{t}.tsv" for t in tables.EXAMPLE_TABLES]
-    for name in names:
-        text = tables.read_data_text(name)
-        if name == edited:
-            assert old in text
-            text = text.replace(old, new, 1)
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
-    loaders = (tables.load_table, tables.load_symmetries, tables.load_examples)
-    for loader in loaders:
-        loader.cache_clear()
-    try:
+    with data_copy({edited: replaced(old, new)}):
         return run(capsys, *argv)
-    finally:
-        monkeypatch.delenv(tables.DATA_ENV)
-        for loader in loaders:
-            loader.cache_clear()
 
 
-def test_match_examples_leaves_an_example_above_x3_unmatched(tmp_path, monkeypatch, capsys):
+def test_match_examples_leaves_an_example_above_x3_unmatched(data_copy, capsys):
     # example table 5 row 1 using x4 matches nothing, and nothing raises
     argv = ("match-examples", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.splitlines()[1].startswith("5\t1\tconcrete\t1\t1\t")
-    code, out, err = run_on_data(tmp_path, monkeypatch, capsys, argv, "1\tx1^-1\t", "1\tx1^-1*x4\t")
+    code, out, err = run_on_data(data_copy, capsys, argv, "1\tx1^-1\t", "1\tx1^-1*x4\t")
     assert code == 0 and err == ""
     assert out.splitlines()[1] == "5\t1\tconcrete\t1\t0\t-"
 
 
-def test_match_examples_refuses_a_deeply_nested_example(tmp_path, monkeypatch, capsys):
+def test_match_examples_refuses_a_deeply_nested_example(data_copy, capsys):
     nested = "(" * 3000 + "x1^-1" + ")" * 3000
     argv = ("match-examples", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
-    code, out, err = run_on_data(tmp_path, monkeypatch, capsys, argv, "1\tx1^-1\t", f"1\t{nested}\t")
+    code, out, err = run_on_data(data_copy, capsys, argv, "1\tx1^-1\t", f"1\t{nested}\t")
     assert code == 1 and out == ""
     assert err.startswith("error: examples5.tsv row 1: groups nested more than 100 deep at position 100 ")
     assert err.count("\n") == 1
@@ -361,41 +374,40 @@ def test_match_examples_refuses_a_deeply_nested_example(tmp_path, monkeypatch, c
          "['2', '0', '\u00b11', '0', '\u00b11', '\u00b11']", type(None)),
         ("run-tables", "table1.tsv", "\n2\t0\t0\t", "\nx\t0\t0\t",
          "table1.tsv line 3: bad row number 'x'", type(None)),
+        # lines end at \n, \r\n or \r only, as in a presentation file: row 1
+        # ending in U+2028 leaves row 2 on line 3
+        ("run-tables", "table1.tsv", "\n2\t0\t0\t", "\u2028\nx\t0\t0\t",
+         "table1.tsv line 3: bad row number 'x'", type(None)),
+        ("run-tables", "table1.tsv", "eta beta alpha delta epsilon gamma\n", "eta beta alpha delta epsilon\n",
+         "table1.tsv: bad column declaration ['eta beta alpha delta epsilon']", type(None)),
+        ("run-tables", "symmetries.tsv", "1\talpha\tbeta\tgamma\tdelta\teta\tepsilon\n", "",
+         "symmetry table has no identity row", type(None)),
     ],
     ids=["match-examples", "run-tables", "table-cell", "table-variables", "symmetries",
-         "row-shape", "row-number"],
+         "row-shape", "row-number", "line-separator", "columns", "no-identity"],
 )
 def test_example_table_errors_name_the_file_and_row(
-    command, edited, old, new, message, cause, tmp_path, monkeypatch, capsys
+    command, edited, old, new, message, cause, tmp_path, data_copy, capsys
 ):
     # every data file's row errors are wrapped in one place, in tables._read;
     # a wrapped error keeps the parser's error as its cause
     out_path = tmp_path / "report"
     argv = (command, "--tables", "1", "--param-range=0..0", "--symmetries", "id", "--out", str(out_path))
-    code, out, err = run_on_data(tmp_path, monkeypatch, capsys, argv, old, new, edited=edited)
-    assert code == 1 and out == "" and not out_path.exists()
-    assert err == f"error: {message}\n"
-    monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
-    loaders = (tables.load_table, tables.load_symmetries, tables.load_examples)
-    for loader in loaders:
-        loader.cache_clear()
-    try:
+    with data_copy({edited: replaced(old, new)}):
+        code, out, err = run(capsys, *argv)
         with pytest.raises(tables.TableError) as info:
             pipeline.run_tables(tables=(1,), param_range=(0, 0), symmetries="id")
-    finally:
-        for loader in loaders:
-            loader.cache_clear()
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err == f"error: {message}\n"
     assert isinstance(info.value.__cause__, cause)
 
 
-def test_run_tables_to_stdout_refuses_a_bad_example_table_before_the_header(
-    tmp_path, monkeypatch, capsys
-):
+def test_run_tables_to_stdout_refuses_a_bad_example_table_before_the_header(data_copy, capsys):
     # the example index is built before the report's first line is written
     argv = ("run-tables", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
     row4 = "4\tx3^-1*x2^-1*x3*x2*x3\t"
     code, out, err = run_on_data(
-        tmp_path, monkeypatch, capsys, argv, row4, "4\tx1^(gamma\t", edited="examples6.tsv"
+        data_copy, capsys, argv, row4, "4\tx1^(gamma\t", edited="examples6.tsv"
     )
     assert (code, out) == (1, "")
     assert err == "error: examples6.tsv row 4: unexpected input at position 2 in 'x1^(gamma'\n"

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from artinhexa import tables
@@ -5,12 +7,10 @@ from artinhexa.cli import main
 from artinhexa.hexa import serialize_cell
 from artinhexa.tables import (
     EXAMPLE_TABLES,
-    PARAM_TABLES,
     TableError,
     load_examples,
     load_symmetries,
     load_table,
-    read_data_text,
     symmetry_by_index,
 )
 
@@ -48,7 +48,8 @@ def test_spot_check_printed_cells():
 def test_round_trip_is_lossless():
     for table_id in (1, 2, 3):
         name = f"table{table_id}.tsv"
-        lines = [l for l in read_data_text(name).splitlines() if l.strip()]
+        with open(os.path.join(os.path.dirname(tables.__file__), "data", name), encoding="utf-8") as fh:
+            lines = [l.rstrip("\n") for l in fh if l.strip()]
         for row, line in zip(load_table(table_id), lines[1:]):
             printed = tuple(line.split("\t")[1:])
             assert tuple(serialize_cell(c) for c in row.cells) == printed
@@ -100,29 +101,24 @@ def test_unknown_tables_rejected():
         load_examples(3)
 
 
-def test_data_env_override(tmp_path, monkeypatch):
-    target = tmp_path / "table1.tsv"
-    target.write_text("eta beta alpha delta epsilon gamma\n1\t0\t0\t0\t0\t0\t0\n")
-    monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
-    load_table.cache_clear()
-    try:
+def test_data_env_override(data_copy):
+    header = "eta beta alpha delta epsilon gamma\n"
+    with data_copy({"table1.tsv": lambda _: header + "1\t0\t0\t0\t0\t0\t0\n"}):
         rows = load_table(1)
         assert len(rows) == 1
-    finally:
-        monkeypatch.delenv(tables.DATA_ENV)
-        load_table.cache_clear()
     assert len(load_table(1)) == 28
 
 
-def test_data_env_missing_file(tmp_path, monkeypatch):
-    monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
-    load_table.cache_clear()
-    try:
-        with pytest.raises(TableError, match=f"{tmp_path / 'table1.tsv'} is missing"):
+def test_data_env_missing_file(data_copy):
+    with data_copy({"table1.tsv": None}) as directory:
+        with pytest.raises(TableError, match=f"{directory / 'table1.tsv'} is missing"):
             load_table(1)
-    finally:
-        monkeypatch.delenv(tables.DATA_ENV)
-        load_table.cache_clear()
+
+
+def test_empty_data_file_is_refused(data_copy):
+    with data_copy({"table1.tsv": lambda _: ""}):
+        with pytest.raises(TableError, match=r"^table1\.tsv is empty$"):
+            load_table(1)
 
 
 LOADERS = {
@@ -132,47 +128,28 @@ LOADERS = {
 }
 
 
-def _clear_caches():
-    for loader in (load_table, load_symmetries, load_examples):
-        loader.cache_clear()
-
-
-def test_data_byte_that_is_not_utf8_is_refused_at_its_row(tmp_path, monkeypatch):
+def test_data_byte_that_is_not_utf8_is_refused_at_its_row(data_copy):
     # a copy of the bundled table 1 with a line holding one byte 0xff
-    text = read_data_text("table1.tsv").encode("utf-8")
-    (tmp_path / "table1.tsv").write_bytes(text + b"\xff\n")
-    line = text.count(b"\n") + 1
-    monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
-    _clear_caches()
-    try:
+    with data_copy({"table1.tsv": lambda text: text.encode("utf-8") + b"\xff\n"}) as directory:
+        line = (directory / "table1.tsv").read_bytes().count(b"\n")
         with pytest.raises(TableError, match=rf"table1\.tsv line {line}: expected row number"):
             load_table(1)
-    finally:
-        monkeypatch.delenv(tables.DATA_ENV)
-        _clear_caches()
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
-def test_row_numbers_take_ascii_digits_only(name, tmp_path, monkeypatch, capsys):
+def test_row_numbers_take_ascii_digits_only(name, data_copy, capsys):
     # a copy of the bundled data whose first row number in `name` is
     # "\u0661_0", which int() reads as 10
-    names = [f"table{t}.tsv" for t in PARAM_TABLES] + ["symmetries.tsv"]
-    names += [f"examples{t}.tsv" for t in EXAMPLE_TABLES]
-    for data_name in names:
-        lines = read_data_text(data_name).split("\n")
-        if data_name == name:
-            first = 0 if name.startswith("examples") else 1
-            lines[first] = "\u0661_0" + lines[first][lines[first].index("\t"):]
-        (tmp_path / data_name).write_text("\n".join(lines), encoding="utf-8")
-    monkeypatch.setenv(tables.DATA_ENV, str(tmp_path))
-    _clear_caches()
-    try:
+    def edit(text):
+        lines = text.split("\n")
+        first = 0 if name.startswith("examples") else 1
+        lines[first] = "\u0661_0" + lines[first][lines[first].index("\t"):]
+        return "\n".join(lines)
+
+    with data_copy({name: edit}):
         with pytest.raises(TableError, match="bad row number"):
             LOADERS[name]()
         argv = ["run-tables", "--tables", "1", "--param-range=0..0", "--symmetries", "id"]
         assert main(argv) == 1
         line = 1 if name.startswith("examples") else 2
         assert f"{name} line {line}: bad row number '\u0661_0'" in capsys.readouterr().err
-    finally:
-        monkeypatch.delenv(tables.DATA_ENV)
-        _clear_caches()

@@ -47,6 +47,11 @@ def test_smith_zero_and_identity():
     assert smith_invariants([], 3) == ()
 
 
+def test_smith_refuses_a_ragged_matrix():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        smith_invariants([[1, 0, 0], [0, 1]], 3)
+
+
 def test_smith_rank_deficient():
     assert smith_invariants([[1, 1, 1], [1, 1, 1], [1, 1, 1]], 3) == (1, 0, 0)
 

@@ -293,6 +293,9 @@ def test_parse_errors_carry_position():
     with pytest.raises(WordSyntaxError) as err:
         parse_word("x1*y2")
     assert err.value.position == 3
+    with pytest.raises(WordSyntaxError, match=r"^generator index 0 out of range \(at position 0\)$") as err:
+        parse_word("x0")
+    assert err.value.position == 0
     # \u0661 and \u0662 are Arabic-Indic one and two: digits are ASCII only
     for bad in ("x1^0", "", "x\u0661", "x1^\u0662", "x\u0661^2"):
         with pytest.raises(WordSyntaxError):
