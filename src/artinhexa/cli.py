@@ -21,12 +21,12 @@ from . import artin, braids, hexa, pipeline, tables, triviality, words
 MAX_FILE_RANK = 10_000
 
 
-def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str, count: int | None = None) -> tuple[int, ...]:
     try:
         values = tuple(words.parse_int(v) for v in text.split(","))
     except ValueError:
         raise ValueError(f"{what}: expected comma-separated integers, got {words._clip(text)}")
-    if len(values) != count:
+    if count is not None and len(values) != count:
         raise ValueError(f"{what}: expected {count} integers, got {len(values)}")
     return values
 
@@ -87,10 +87,10 @@ def _cmd_gen_presentation(args) -> int:
     if (args.hex is None) == (args.params is None):
         raise ValueError("give exactly one of --hex or --params")
     if args.hex is not None:
-        filling = hexa.HexFilling(*_parse_ints(args.hex, 6, "--hex"))
+        filling = hexa.HexFilling(*_parse_ints(args.hex, "--hex", 6))
         pres = artin.gen_from_hex(filling)
     else:
-        params = hexa.SurgeryParams(*_parse_ints(args.params, 6, "--params"))
+        params = hexa.SurgeryParams(*_parse_ints(args.params, "--params", 6))
         pres = artin.gen_from_params(params)
     _emit([_presentation_text(pres)], args.out)
     return 0
@@ -133,14 +133,14 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_symmetry(args) -> int:
-    filling = hexa.HexFilling(*_parse_ints(args.hex, 6, "--hex"))
+    filling = hexa.HexFilling(*_parse_ints(args.hex, "--hex", 6))
     sym = tables.symmetry_by_index(args.index)
     print(sym.apply(filling))
     return 0
 
 
 def _cmd_orbit(args) -> int:
-    filling = hexa.HexFilling(*_parse_ints(args.hex, 6, "--hex"))
+    filling = hexa.HexFilling(*_parse_ints(args.hex, "--hex", 6))
     for image in hexa.orbit(filling, tables.load_symmetries(), args.mirror == "on"):
         print(image)
     return 0
@@ -182,7 +182,7 @@ def _cmd_parse_cell(args) -> int:
 
 def _report_args(args) -> dict:
     return dict(
-        tables=tuple(words.parse_int(t) for t in args.tables.split(",")),
+        tables=_parse_ints(args.tables, "--tables"),
         param_range=_parse_range(args.param_range),
         symmetries=args.symmetries,
         mirror=args.mirror == "on",

@@ -127,7 +127,7 @@ def test_simplify_rejects_bad_rank_line(tmp_path, capsys, text, message):
     path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "simplify", "--file", str(path))
     assert code == 1 and out == ""
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
 def test_simplify_refuses_a_byte_that_is_not_utf8_at_its_line(tmp_path, capsys):
@@ -135,7 +135,7 @@ def test_simplify_refuses_a_byte_that_is_not_utf8_at_its_line(tmp_path, capsys):
     path.write_bytes(b"rank 3\nx1\xff\nx2\nx3\n")
     code, out, err = run(capsys, "simplify", "--file", str(path))
     assert code == 1 and out == ""
-    assert f"error: {path} line 2: expected syllable, got 'x1\\udcff'" in err
+    assert err == f"error: {path} line 2: expected syllable, got 'x1\\udcff' (at position 0)\n"
 
 
 @pytest.mark.parametrize(
@@ -259,21 +259,23 @@ def test_run_tables_tsv_and_json(tmp_path, capsys):
     assert payload[0]["verdict"] in ("Trivial", "NotTrivial", "Unknown")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("--tables", "1,9"),
-        ("--param-range=2..1",),
-        ("--symmetries", "id", "--tables", "0"),
-        ("--tables", "1,1"),
-    ],
-)
+REPORT_INPUT_ERRORS = {
+    ("--tables", "1,9"): "no parameter table 9",
+    ("--param-range=2..1",): "empty parameter range 2..1",
+    ("--symmetries", "id", "--tables", "0"): "no parameter table 0",
+    ("--tables", "1,1"): "table 1 is given more than once",
+    # the comma-list flags name themselves, as --hex and --params do
+    ("--tables", "1,x"): "--tables: expected comma-separated integers, got '1,x'",
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_INPUT_ERRORS))
 @pytest.mark.parametrize("command", ["run-tables", "match-examples"])
 def test_report_input_errors_create_no_file(tmp_path, capsys, command, argv):
     # the report is streamed into the file, so input is checked before it opens
     out_path = tmp_path / "report.tsv"
-    code, _, err = run(capsys, command, *argv, "--out", str(out_path))
-    assert code == 1 and err.startswith("error:")
+    code, out, err = run(capsys, command, *argv, "--out", str(out_path))
+    assert (code, out, err) == (1, "", f"error: {REPORT_INPUT_ERRORS[argv]}\n")
     assert not out_path.exists()
 
 
@@ -402,6 +404,13 @@ def test_example_table_errors_name_the_file_and_row(
     assert isinstance(info.value.__cause__, cause)
 
 
+def test_missing_data_file_is_one_error_line(data_copy, capsys):
+    argv = ("run-tables", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
+    with data_copy({"table1.tsv": None}) as directory:
+        code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: data file {directory / 'table1.tsv'} is missing\n")
+
+
 def test_run_tables_to_stdout_refuses_a_bad_example_table_before_the_header(data_copy, capsys):
     # the example index is built before the report's first line is written
     argv = ("run-tables", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
@@ -512,7 +521,9 @@ def test_write_error_removes_the_partial_file(tmp_path, monkeypatch, capsys):
 def test_jobs_1_imports_no_pool(tmp_path):
     # no command imports multiprocessing: --jobs > 1 forks its workers
     # itself, here two whatever this host has; and TSV runs leave json
-    # unimported, since only the JSON writers import it
+    # unimported, since only the JSON writers import it.  Under -X dev -W
+    # error a fork from a process with threads (3.12) fails the run and a
+    # pipe left open prints a ResourceWarning, so stderr must stay empty
     code = (
         "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; from artinhexa.cli import main; "
         f"main(['run-tables', '--tables', '1', '--param-range=0..0', '--out', {str(tmp_path / 'r.tsv')!r}]); "
@@ -521,8 +532,10 @@ def test_jobs_1_imports_no_pool(tmp_path):
         "print('multiprocessing' in sys.modules, 'json' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "False False"
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert (out.stdout.splitlines()[-1], out.stderr) == ("False False", "")
     assert (tmp_path / "r.tsv").read_bytes() == (tmp_path / "r2.tsv").read_bytes()
 
 

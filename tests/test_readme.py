@@ -3,7 +3,7 @@ import itertools
 from pathlib import Path
 
 from artinhexa.artin import gen_from_hex, linking_matrix
-from artinhexa.hexa import HexFilling, instantiate_row, parse_cell, to_surgery
+from artinhexa.hexa import SLOTS, HexFilling, HexSymmetry, instantiate_row, parse_cell, to_surgery
 from artinhexa.tables import load_symmetries, load_table
 from artinhexa.triviality import abelian_invariants, replay, simplify
 
@@ -19,6 +19,37 @@ def test_readme_tour_runs_as_a_doctest():
 def det3(m):
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def surgery_det(h):
+    """``det`` of the linking matrix of the filling's surgery: plus or minus
+    the order of the double branched cover's first homology."""
+    return det3(linking_matrix(to_surgery(h)))
+
+
+def test_symmetry_table_is_the_group_preserving_the_surgery_determinant():
+    # README *Data files*: surgery_det is a cubic in the six slots.  In one
+    # slot, its second differences from 0 and from 1 are affine in the other
+    # five; zero on {0,1}^5, they are zero everywhere, and the cubic is then
+    # affine in that slot.  So surgery_det is multilinear, and so are its
+    # composites with a slot permutation and with the mirror; and two
+    # multilinear polynomials agree everywhere when they agree on {0,1}^6
+    cube = [HexFilling(*h) for h in itertools.product((0, 1), repeat=6)]
+    for i in range(6):
+        for rest in itertools.product((0, 1), repeat=5):
+            d = [surgery_det(HexFilling(*rest[:i], v, *rest[i:])) for v in range(4)]
+            assert d[2] - 2 * d[1] + d[0] == d[3] - 2 * d[2] + d[1] == 0
+    det = {h: surgery_det(h) for h in cube}
+    assert all(surgery_det(h.mirror()) == -det[h] for h in cube)
+    preserving, negating = set(), set()
+    for sources in itertools.permutations(SLOTS):
+        images = [det[HexSymmetry(0, sources).apply(h)] for h in cube]
+        if images == [det[h] for h in cube]:
+            preserving.add(sources)
+        if images == [-det[h] for h in cube]:
+            negating.add(sources)
+    assert preserving == {sym.sources for sym in load_symmetries()}
+    assert len(preserving) == 24 and not negating
 
 
 def test_findings_table3_row36_one_digit_slip():
