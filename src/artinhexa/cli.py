@@ -36,7 +36,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = text.split("..")
         return words.parse_int(lo), words.parse_int(hi)
     except ValueError:
-        raise ValueError(f"bad range {words._clip(text)}; expected LO..HI")
+        raise ValueError(f"--param-range: expected LO..HI, got {words._clip(text)}")
 
 
 def _load_presentation(path: str) -> artin.Presentation:

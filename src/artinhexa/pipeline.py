@@ -10,9 +10,14 @@ filling.  Rows come out in a fixed canonical order whatever the worker
 count, so reports are byte-identical across ``jobs`` settings: at
 ``jobs`` above 1, each block's new fillings are split among child
 processes forked for that block, and their results are put back in order.
-``match_examples`` compares tasks with the example tables by relators only,
-and builds a presentation only for a filling whose closed-form linking
-matrix equals the exponent-sum matrix of some example instance.
+Both report commands match fillings with the example tables through one
+``ExampleIndex``: the example instances on the grid keyed by exponent-sum
+matrix, which a walk over the relator expressions gives without spelling a
+word.  A filling is looked up by its closed-form linking matrix, and an
+instance's relators are spelled only when some filling has its matrix.
+``run_tables`` does the lookup in ``_run_filling``, so at ``jobs`` above 1
+the workers do it; ``match_examples`` compares tasks by relators only, and
+builds a presentation only for a filling whose matrix is an example's.
 
 The sweep is streamed: tasks are generated lazily, rows are yielded block
 by block, and the cells of recent fillings are kept in a cache of fixed
@@ -27,19 +32,21 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import artin
 from .artin import check_size, gen_from_params, linking_matrix, verify_artin
 from .braids import classify
 from .hexa import HexFilling, HexSymmetry, instantiate_row, to_surgery
 from .tables import (
     EXAMPLE_TABLES,
     ExampleRow,
+    TableError,
     identity_symmetry,
     load_examples,
     load_symmetries,
     load_table,
 )
 from .triviality import simplify
-from .words import abelianize, serialize_word
+from .words import serialize_word
 
 Assignment = tuple[tuple[str, int], ...]
 
@@ -159,20 +166,22 @@ def _tasks(loaded, param_range, syms, mirror) -> Iterator[Task]:
                             )
 
 
-def _run_filling(filling: HexFilling) -> tuple:
+def _run_filling(filling: HexFilling, examples: ExampleIndex) -> tuple:
     """The report cells that depend on the filling alone, in ``ReportRow``
-    field order from ``relators`` to ``braid_class``."""
+    field order from ``relators`` to ``example_match``."""
     params = to_surgery(filling)
     pres = gen_from_params(params)
     check = verify_artin(pres)
     verdict = simplify(pres)
+    relators = pres.serialized_relators()
     return (
-        pres.serialized_relators(),
+        relators,
         check.w,
         check.f,
         verdict.divisors,
         verdict.tag,
         str(classify(params.braid)),
+        examples.label(linking_matrix(params), relators),
     )
 
 
@@ -184,16 +193,16 @@ def run_tables(
     jobs: int = 1,
 ) -> Iterator[ReportRow]:
     """The report rows in task order, as an iterator.  The arguments are
-    checked and the example tables read before this returns; the chain runs
-    as the rows are taken."""
+    checked and the example tables read and indexed before this returns;
+    the chain runs as the rows are taken."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = build_tasks(tables, param_range, symmetries, mirror)
-    return _rows(tasks, example_index(param_range), jobs)
+    return _rows(tasks, ExampleIndex(param_range), jobs)
 
 
-def _fork_map(todo: list[HexFilling], cpus: list[int], workers: int):
-    """``map(_run_filling, todo)``, run by ``min(workers, len(todo))``
+def _fork_map(todo: list[HexFilling], examples: ExampleIndex, cpus: list[int], workers: int):
+    """``_run_filling`` of each filling of ``todo``, run by ``min(workers, len(todo))``
     forked children when that is more than one: child ``k`` is pinned to
     ``cpus[k]``, best effort, as the scheduler may leave forked children
     sharing one CPU; it runs ``todo[k::workers]`` and sends its results
@@ -206,7 +215,7 @@ def _fork_map(todo: list[HexFilling], cpus: list[int], workers: int):
     from a process with one thread."""
     workers = min(workers, len(todo))
     if workers < 2:
-        return map(_run_filling, todo)
+        return map(_run_filling, todo, itertools.repeat(examples))
     pids, readers = [], []
     try:
         for k in range(workers):
@@ -215,7 +224,7 @@ def _fork_map(todo: list[HexFilling], cpus: list[int], workers: int):
             with open(write_end, "wb") as writer:
                 pid = os.fork()
                 if pid == 0:
-                    _child(todo[k::workers], cpus[k], writer)
+                    _child(todo[k::workers], examples, cpus[k], writer)
             pids.append(pid)
         payloads = [reader.read() for reader in readers]
     finally:
@@ -229,11 +238,11 @@ def _fork_map(todo: list[HexFilling], cpus: list[int], workers: int):
         for k, payload in enumerate(payloads):
             results[k::workers] = marshal.loads(payload)
     except (EOFError, ValueError):  # an empty or cut payload
-        return list(map(_run_filling, todo))
+        return list(map(_run_filling, todo, itertools.repeat(examples)))
     return results
 
 
-def _child(part: list[HexFilling], cpu: int, writer) -> None:
+def _child(part: list[HexFilling], examples: ExampleIndex, cpu: int, writer) -> None:
     """A forked child's whole life: it writes the results of ``part``, or
     nothing if a filling raises, and leaves through ``os._exit``, so it
     runs none of the parent's ``finally`` blocks (such as the removal of a
@@ -244,13 +253,13 @@ def _child(part: list[HexFilling], cpu: int, writer) -> None:
             os.sched_setaffinity(0, {cpu})
         except (AttributeError, OSError):
             pass
-        writer.write(marshal.dumps([_run_filling(filling) for filling in part]))
+        writer.write(marshal.dumps([_run_filling(filling, examples) for filling in part]))
         writer.flush()
     finally:
         os._exit(0)
 
 
-def _rows(tasks, index, jobs) -> Iterator[ReportRow]:
+def _rows(tasks, examples, jobs) -> Iterator[ReportRow]:
     cache: dict[HexFilling, tuple] = {}
     try:
         cpus = sorted(os.sched_getaffinity(0))
@@ -259,8 +268,8 @@ def _rows(tasks, index, jobs) -> Iterator[ReportRow]:
     workers = min(jobs, len(cpus)) if hasattr(os, "fork") else 1
     while block := list(itertools.islice(tasks, BLOCK_TASKS)):
         todo = [f for f in dict.fromkeys(task.filling for task in block) if f not in cache]
-        for filling, result in zip(todo, _fork_map(todo, cpus, workers)):
-            cache[filling] = (*result, index.get(result[0], ""))
+        for filling, result in zip(todo, _fork_map(todo, examples, cpus, workers)):
+            cache[filling] = result
         for task in block:
             yield ReportRow(*task, *cache[task.filling])
         # one pass: deleting the first key again and again rescans the
@@ -270,26 +279,95 @@ def _rows(tasks, index, jobs) -> Iterator[ReportRow]:
 
 
 def _example_instances(example: ExampleRow, param_range: tuple[int, int]):
-    """Concrete relator triples of one printed example row; parametric rows
-    are expanded over the same grid as their source table.  Each instance
-    comes as its assignment, its serialized triple and its words.  A relator
-    with no variable is instantiated and serialized once for the row."""
-    fixed = [None if r.variables() else r.instantiate() for r in example.relators]
-    texts = [None if w is None else serialize_word(w) for w in fixed]
-    for assignment in assignments_for(example.variables(), param_range):
+    """The instances of one printed example row; parametric rows are
+    expanded over the same grid as their source table.  Each instance comes
+    as its assignment, its exponent-sum matrix and the number of syllables
+    its relators spell out before reduction, all found without spelling a
+    word.  The matrix is ``None`` when a generator above x3 has a non-zero
+    sum, as in no filling's presentation.  A relator with no variable is
+    summed once for the row."""
+    variables = [r.variables() for r in example.relators]
+    fixed = [None if v else r.exponent_sums() for r, v in zip(example.relators, variables)]
+    for assignment in assignments_for(tuple(dict.fromkeys(itertools.chain(*variables))), param_range):
         env = dict(assignment)
-        words = [r.instantiate(env) if w is None else w for r, w in zip(example.relators, fixed)]
-        triple = tuple([serialize_word(w) if t is None else t for w, t in zip(words, texts)])
-        yield assignment, triple, words
+        matrix, size, beyond = [], 0, False
+        for r, f in zip(example.relators, fixed):
+            sums, n = f or r.exponent_sums(env)
+            size += n
+            beyond = beyond or max(sums, default=0) > 3 and any(v for g, v in sums.items() if g > 3)
+            matrix.append((sums.get(1, 0), sums.get(2, 0), sums.get(3, 0)))
+        yield assignment, None if beyond else tuple(matrix), size
 
 
-def example_index(param_range: tuple[int, int]) -> dict[tuple[str, str, str], str]:
-    """Map reduced relator triples to their example-table coordinates."""
-    index: dict[tuple[str, str, str], str] = {}
-    for table in EXAMPLE_TABLES:
-        for example in load_examples(table):
-            for _, triple, _ in _example_instances(example, param_range):
-                index.setdefault(triple, f"{table}:{example.row}")
+class _Row:
+    """An example row: its coordinates ``table:row`` and its instances, each
+    as its assignment and exponent-sum matrix.  An instance's serialized
+    triple is spelled the first time it is asked for, then kept; a relator
+    with no variable is spelled once for the row."""
+
+    __slots__ = ("table", "example", "label", "instances", "_texts", "_triples")
+
+    def __init__(self, table: int, example: ExampleRow):
+        self.table, self.example, self.label = table, example, f"{table}:{example.row}"
+        self.instances: list[tuple[Assignment, tuple | None]] = []
+        self._texts: list[str | None] | None = None
+        self._triples: dict[Assignment, tuple[str, ...]] = {}
+
+    def triple(self, assignment: Assignment) -> tuple[str, ...]:
+        triple = self._triples.get(assignment)
+        if triple is None:
+            relators = self.example.relators
+            if self._texts is None:
+                self._texts = [None if r.variables() else serialize_word(r.instantiate()) for r in relators]
+            env = dict(assignment)
+            triple = tuple([t or serialize_word(r.instantiate(env)) for r, t in zip(relators, self._texts)])
+            self._triples[assignment] = triple
+        return triple
+
+
+class ExampleIndex:
+    """The example rows with their instances on a grid (``rows``), and the
+    instances by exponent-sum matrix (``by_matrix``, as row and assignment),
+    both in table order.  Building it spells no word, but refuses, as an
+    error naming the file and the row, any instance whose relators would
+    spell out more than ``MAX_PRESENTATION_SYLLABLES`` syllables."""
+
+    def __init__(self, param_range: tuple[int, int]):
+        self.rows: list[_Row] = []
+        self.by_matrix: dict[tuple, list[tuple[_Row, Assignment]]] = {}
+        for table in EXAMPLE_TABLES:
+            for example in load_examples(table):
+                row = _Row(table, example)
+                for assignment, matrix, size in _example_instances(example, param_range):
+                    if size > artin.MAX_PRESENTATION_SYLLABLES:
+                        at = f" at {format_assignment(assignment)}" if assignment else ""
+                        raise TableError(
+                            f"examples{table}.tsv row {example.row}: relators{at} spell out {size} "
+                            f"syllables, above the limit {artin.MAX_PRESENTATION_SYLLABLES}"
+                        )
+                    row.instances.append((assignment, matrix))
+                    if matrix is not None:
+                        self.by_matrix.setdefault(matrix, []).append((row, assignment))
+                self.rows.append(row)
+
+    def label(self, matrix: tuple, triple: tuple[str, ...]) -> str:
+        """The coordinates ``table:row`` of the first instance with this
+        exponent-sum matrix and serialized triple, ``""`` when there is
+        none.  Equal triples have equal matrices, so this is the first
+        instance in table order with the triple."""
+        for row, assignment in self.by_matrix.get(matrix, ()):
+            if row.triple(assignment) == triple:
+                return row.label
+        return ""
+
+
+def example_index(param_range: tuple[int, int]) -> dict[tuple[str, ...], str]:
+    """Map every example instance's serialized triple to the coordinates of
+    the first instance in table order with it; every instance is spelled."""
+    index: dict[tuple[str, ...], str] = {}
+    for row in ExampleIndex(param_range).rows:
+        for assignment, _ in row.instances:
+            index.setdefault(row.triple(assignment), row.label)
     return index
 
 
@@ -309,27 +387,19 @@ def match_examples(
     the first task with a triple is the one reported.  Concrete rows are
     matched as printed; parametric rows instance by instance on the shared
     grid.  Unmatched rows are findings to report, not failures.  The tasks
-    are read as a stream: what is kept is the fillings seen and one task per
-    example triple.
+    are read as a stream: what is kept is the fillings seen and the first
+    task of each triple generated.
 
     Each distinct filling is size-checked, so an oversized one is refused
     as in ``run_tables``.  Its triple is generated only when its linking
     matrix is the exponent-sum matrix of some example instance: equal
     triples have equal matrices, so no other filling can match.  An
-    instance using a generator above x3 has no such matrix and matches
-    nothing.
+    instance is spelled only when some filling has its matrix; one with a
+    non-zero sum on a generator above x3 has no matrix and matches nothing.
     """
-    examples = []
-    matrices = set()
-    for table in EXAMPLE_TABLES:
-        for example in load_examples(table):
-            instances = []
-            for assignment, triple, words in _example_instances(example, param_range):
-                instances.append((assignment, triple))
-                if max(w.max_generator() for w in words) <= 3:
-                    matrices.add(tuple(abelianize(w, 3) for w in words))
-            examples.append((table, example, instances))
-    first = dict.fromkeys(triple for *_, instances in examples for _, triple in instances)
+    examples = ExampleIndex(param_range)
+    hit = set()  # the example matrices that some filling has
+    first: dict[tuple[str, ...], Task] = {}  # the first task of each triple generated
     seen: set[HexFilling] = set()
     for task in tasks:
         if task.filling in seen:
@@ -337,21 +407,26 @@ def match_examples(
         seen.add(task.filling)
         params = to_surgery(task.filling)
         check_size(params)
-        if linking_matrix(params) in matrices:
-            triple = gen_from_params(params).serialized_relators()
-            if triple in first and first[triple] is None:
-                first[triple] = task
+        matrix = linking_matrix(params)
+        if matrix in examples.by_matrix:
+            hit.add(matrix)
+            first.setdefault(gen_from_params(params).serialized_relators(), task)
     out = []
-    for table, example, instances in examples:
-        hits = [(assignment, first[t]) for assignment, t in instances if first[t] is not None]
+    for row in examples.rows:
+        hits = [
+            (assignment, first[row.triple(assignment)])
+            for assignment, matrix in row.instances
+            if matrix in hit and row.triple(assignment) in first
+        ]
         location = ""
         if hits:
-            assignment, hit = hits[0]
-            location = f"table{hit.table} row {hit.row} sym {hit.symmetry}"
-            location += f" branch {hit.branch}" if hit.branch else ""
+            assignment, task = hits[0]
+            location = f"table{task.table} row {task.row} sym {task.symmetry}"
+            location += f" branch {task.branch}" if task.branch else ""
             location += " at " + format_assignment(assignment) if assignment else ""
+        example = row.example
         out.append(ExampleMatch(
-            table, example.row, not example.variables(), len(instances), len(hits), location
+            row.table, example.row, not example.variables(), len(row.instances), len(hits), location
         ))
     return out
 

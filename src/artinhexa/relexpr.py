@@ -47,7 +47,9 @@ class RelatorExpr(NamedTuple):
     text: str
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(_exponent_vars(self.factors)))
+        found: dict[str, None] = {}
+        _exponent_vars(self.factors, found)
+        return tuple(found)
 
     def instantiate(self, assignment: Mapping[str, int] | None = None) -> Word:
         """The word at ``assignment``: the factors are spelled out into one
@@ -55,14 +57,22 @@ class RelatorExpr(NamedTuple):
         is the reduced product of the factors' powers."""
         return _word(_reduce_syllables(_spell(self.factors, assignment or {})))
 
+    def exponent_sums(self, assignment: Mapping[str, int] | None = None) -> tuple[dict[int, int], int]:
+        """The exponent sum of each generator in the word at ``assignment``,
+        which binds every variable, and the number of syllables that
+        ``instantiate`` spells out before it reduces; no word is built."""
+        sums: dict[int, int] = {}
+        return sums, _sum(self.factors, assignment or {}, 1, sums)
 
-def _exponent_vars(factors: tuple[Factor, ...]):
-    """The exponent variables of ``factors`` and their groups, in order."""
-    for f in factors:
-        if f.exp.var is not None:
-            yield f.exp.var
-        if not isinstance(f.base, int):
-            yield from _exponent_vars(f.base)
+
+def _exponent_vars(factors: tuple[Factor, ...], found: dict[str, None]) -> None:
+    """Add the exponent variables of ``factors`` and their groups to
+    ``found``, in order."""
+    for base, exp in factors:
+        if exp.var is not None:
+            found[exp.var] = None
+        if not isinstance(base, int):
+            _exponent_vars(base, found)
 
 
 def _spell(factors: tuple[Factor, ...], assignment: Mapping[str, int]) -> list[Syllable]:
@@ -80,6 +90,23 @@ def _spell(factors: tuple[Factor, ...], assignment: Mapping[str, int]) -> list[S
             inner, k = [(gen, -exp) for gen, exp in reversed(inner)], -k
         out += inner * k
     return out
+
+
+def _sum(factors: tuple[Factor, ...], assignment: Mapping[str, int], scale: int, sums: dict[int, int]) -> int:
+    """Add ``scale`` times the exponent sums of ``factors`` to ``sums``, and
+    count their unreduced syllables: a group raised to ``k`` adds ``k``
+    times its sums and ``|k|`` times its syllables.  Exponents are never
+    ``±`` cells, so a cell's value is ``c0 + c1 * var``."""
+    count = 0
+    for base, (_, k, c1, var) in factors:
+        if var is not None:
+            k += c1 * assignment[var]
+        if isinstance(base, int):
+            sums[base] = sums.get(base, 0) + scale * k
+            count += 1
+        elif k:
+            count += abs(k) * _sum(base, assignment, scale * k, sums)
+    return count
 
 
 # optional whitespace, then one token: a generator, a caret with its

@@ -10,9 +10,10 @@ conjugation, the cyclic canonical form (ends peeled on a plain list, every
 rotation compared), a character-by-character recursive-descent parser whose
 instantiation multiplies reduced powers, and the first versions of the
 Smith form (swap, restart and offender loop), the table-cell parser (a
-term-by-term scanner), the example matcher (every distinct filling's
-task held before matching) and the example-match writers (the TSV joined
-from a list of lines, the JSON dumped as one payload).  Not collected by
+term-by-term scanner), the example instances (each one spelled, then
+abelianized), the example matcher (every distinct filling's task held
+before matching) and the example-match writers (the TSV joined from a list
+of lines, the JSON dumped as one payload).  Not collected by
 pytest (no ``test_`` prefix); test modules import it.
 """
 
@@ -30,7 +31,7 @@ from artinhexa.hexa import SLOTS, CellSyntaxError, HexError, LinearCell
 from artinhexa.pipeline import ExampleMatch, assignments_for, format_assignment
 from artinhexa.relexpr import Factor, RelatorExpr, RelatorExprError
 from artinhexa.tables import EXAMPLE_TABLES, load_examples
-from artinhexa.words import Word, _clip, concat, generator, invert, parse_int, power, serialize_word
+from artinhexa.words import Word, _clip, abelianize, concat, generator, invert, parse_int, power, serialize_word
 
 
 def conjugate(w: Word, g: Word) -> Word:
@@ -248,15 +249,37 @@ def instantiate(factors: tuple[Factor, ...], assignment) -> Word:
     return concat(*parts)
 
 
-def example_instances(example, param_range):
-    """The oracle for ``pipeline._example_instances``: every relator is
-    parsed again from its text and instantiated at every assignment."""
+def syllable_count(factors: tuple[Factor, ...], assignment) -> int:
+    """The number of syllables ``factors`` spell out before reduction: one
+    for a generator, ``|k|`` times its own for a group raised to ``k``."""
+    return sum(
+        1 if isinstance(f.base, int) else abs(f.exp.values(assignment)[0]) * syllable_count(f.base, assignment)
+        for f in factors
+    )
+
+
+def spelled_instances(example, param_range):
+    """Every instance of an example row as its assignment, serialized
+    triple, words and unreduced syllable count: every relator is parsed
+    again from its text and instantiated at every assignment."""
     relators = [parse_relator_expr(r.text) for r in example.relators]
     variables = example.variables()
     for assignment in assignments_for(variables, param_range):
         env = dict(assignment)
         words = tuple(instantiate(r.factors, env) for r in relators)
-        yield assignment, tuple(map(serialize_word, words)), words
+        size = sum(syllable_count(r.factors, env) for r in relators)
+        yield assignment, tuple(map(serialize_word, words)), words, size
+
+
+def example_instances(example, param_range):
+    """The oracle for ``pipeline._example_instances``: each instance is
+    spelled, and its words abelianized; the matrix is ``None`` when a
+    generator above x3 keeps a non-zero sum."""
+    for assignment, _, words, size in spelled_instances(example, param_range):
+        rank = max(3, *(w.max_generator() for w in words))
+        sums = [abelianize(w, rank) for w in words]
+        matrix = None if any(any(s[3:]) for s in sums) else tuple(s[:3] for s in sums)
+        yield assignment, matrix, size
 
 
 def smith_invariants(rows, width):
@@ -400,7 +423,7 @@ def match_examples(tasks, param_range=(-5, 5)):
             matched = 0
             first = ""
             total = 0
-            for assignment, triple, _ in example_instances(example, param_range):
+            for assignment, triple, *_ in spelled_instances(example, param_range):
                 total += 1
                 hit = by_triple.get(triple)
                 if hit is not None:

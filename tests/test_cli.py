@@ -13,7 +13,6 @@ from artinhexa import artin, cli, pipeline, tables, triviality
 from artinhexa.cli import main
 from artinhexa.hexa import CellSyntaxError, HexError, to_surgery
 from artinhexa.relexpr import RelatorExprError
-from artinhexa.words import abelianize
 
 
 def run(capsys, *argv):
@@ -266,6 +265,7 @@ REPORT_INPUT_ERRORS = {
     ("--tables", "1,1"): "table 1 is given more than once",
     # the comma-list flags name themselves, as --hex and --params do
     ("--tables", "1,x"): "--tables: expected comma-separated integers, got '1,x'",
+    ("--param-range=1..x",): "--param-range: expected LO..HI, got '1..x'",
 }
 
 
@@ -304,11 +304,7 @@ def test_match_examples_refuses_a_filling_no_example_can_match(tmp_path, monkeyp
     else:
         pytest.fail("no filling is refused")
     examples = [e for t in tables.EXAMPLE_TABLES for e in tables.load_examples(t)]
-    matrices = {
-        tuple(abelianize(w, 3) for w in words)
-        for example in examples
-        for _, _, words in oracles.example_instances(example, (-1, 1))
-    }
+    matrices = {matrix for example in examples for _, matrix, _ in oracles.example_instances(example, (-1, 1))}
     assert artin.linking_matrix(params) not in matrices
     with pytest.raises(artin.PresentationError, match="above the limit"):
         pipeline.match_examples([task], (-1, 1))
@@ -345,6 +341,58 @@ def test_match_examples_leaves_an_example_above_x3_unmatched(data_copy, capsys):
     code, out, err = run_on_data(data_copy, capsys, argv, "1\tx1^-1\t", "1\tx1^-1*x4\t")
     assert code == 0 and err == ""
     assert out.splitlines()[1] == "5\t1\tconcrete\t1\t0\t-"
+
+
+@pytest.mark.parametrize("new", ["x2*x1^-1*x2^-1", "x4*x1^-1*x4^-1"], ids=["conjugate", "zero-x4-sum"])
+def test_an_example_with_the_matrix_but_not_the_triple_matches_nothing(new, data_copy, capsys):
+    # example table 5 row 1's x1^-1 becomes a relator with the same exponent
+    # sums (x4's is 0): table 1 row 1 still has the example's matrix, so
+    # only the triple check behind the matrix filter tells them apart
+    argv = ("--tables", "1", "--param-range=0..0", "--symmetries", "id")
+    code, report, _ = run(capsys, "run-tables", *argv)
+    assert code == 0 and report.count("\t5:1\n") > 0
+    filling = next(pipeline.build_tasks((1,), (0, 0), "id")).filling
+    matrix = artin.linking_matrix(to_surgery(filling))
+    with data_copy({"examples5.tsv": replaced("1\tx1^-1\t", f"1\t{new}\t")}):
+        examples = pipeline.ExampleIndex((0, 0))
+        assert [(row.label, assignment) for row, assignment in examples.by_matrix[matrix]] == [("5:1", ())]
+        assert examples.label(matrix, artin.gen_from_hex(filling).serialized_relators()) == ""
+        assert run(capsys, "run-tables", *argv) == (0, report.replace("\t5:1\n", "\t-\n"), "")
+        code, out, err = run(capsys, "match-examples", *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "5\t1\tconcrete\t1\t0\t-"
+
+
+@pytest.mark.parametrize("command", ["run-tables", "match-examples"])
+def test_an_example_above_the_syllable_cap_is_refused_before_any_output(
+    command, tmp_path, data_copy, capsys, monkeypatch
+):
+    # the example index counts an instance's syllables without spelling it,
+    # and refuses one above the cap, whether or not a filling has its
+    # matrix, before the report's first line or its file
+    argv = (command, "--tables", "1", "--symmetries", "id")
+    with data_copy({"examples5.tsv": replaced("1\tx1^-1\t", "1\t(x1*x2)^100000000\t")}):
+        assert run(capsys, *argv, "--param-range=0..0") == (1, "", (
+            "error: examples5.tsv row 1: relators spell out 200000005 syllables, above the limit 2000000\n"
+        ))
+    # at a lowered cap, the bundled tables hold instances above it; the first
+    # one in table order is refused, as the oracle counts its syllables
+    cap, param_range = 100, (-5, 5)
+    table, row, assignment, size = next(
+        (table, example.row, assignment, size)
+        for table in tables.EXAMPLE_TABLES
+        for example in tables.load_examples(table)
+        for assignment, _, _, size in oracles.spelled_instances(example, param_range)
+        if size > cap
+    )
+    monkeypatch.setattr(artin, "MAX_PRESENTATION_SYLLABLES", cap)
+    out_path = tmp_path / "report"
+    code, out, err = run(capsys, *argv, "--param-range=-5..5", "--out", str(out_path))
+    assert (code, out) == (1, "") and not out_path.exists()
+    assert err == (
+        f"error: examples{table}.tsv row {row}: relators at {pipeline.format_assignment(assignment)}"
+        f" spell out {size} syllables, above the limit {cap}\n"
+    )
 
 
 def test_match_examples_refuses_a_deeply_nested_example(data_copy, capsys):

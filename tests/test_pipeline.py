@@ -29,6 +29,7 @@ from artinhexa.pipeline import (
     report_tsv,
     run_tables,
 )
+from artinhexa.tables import EXAMPLE_TABLES, load_examples
 from artinhexa.triviality import simplify
 
 SMALL = dict(tables=(1,), param_range=(-1, 1), symmetries="id")
@@ -266,10 +267,10 @@ def test_a_worker_error_is_the_error_of_a_serial_run(monkeypatch):
     todo = list(dict.fromkeys(task.filling for task in build_tasks(**config)))
     run_filling = pipeline._run_filling
 
-    def failing(filling):
+    def failing(filling, examples):
         if filling in todo[1:3]:
             raise artin.PresentationError(f"refused {filling}")
-        return run_filling(filling)
+        return run_filling(filling, examples)
 
     monkeypatch.setattr(pipeline, "_run_filling", failing)
     for jobs in (1, 2):
@@ -297,10 +298,10 @@ def test_no_worker_outlives_its_block(monkeypatch):
     # block again itself and gives the rows of a serial run
     parent, run_filling = os.getpid(), pipeline._run_filling
 
-    def killed_in_a_worker(filling):
+    def killed_in_a_worker(filling, examples):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return run_filling(filling)
+        return run_filling(filling, examples)
 
     monkeypatch.setattr(pipeline, "_run_filling", killed_in_a_worker)
     assert report_tsv(run_tables(**config, jobs=2)) == report_tsv(run_tables(**config, jobs=1))
@@ -311,7 +312,7 @@ def test_workers_are_killed_when_the_parent_stops_reading(monkeypatch):
     # the parent's read fails while its two workers are still at work:
     # they are killed and reaped at once, not waited for
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(pipeline, "_run_filling", lambda filling: time.sleep(5))
+    monkeypatch.setattr(pipeline, "_run_filling", lambda filling, examples: time.sleep(5))
 
     class FailingReader:
         def __init__(self, file):
@@ -427,6 +428,37 @@ def test_example_index_contains_known_triples():
     index = example_index((-1, 1))
     assert index[("x1^-1", "x2^-1*x3^-1*x2^-1", "x3^-1*x2^-1")] == "5:1"
     assert index[("x1^-1", "x2^-1", "x3^-1")] == "5:14"
+
+
+@pytest.mark.parametrize("param_range", [(0, 0), (-1, 1), (-8, 2), (-5, 5)])
+def test_example_instances_are_summed_as_the_spelled_words(param_range):
+    # the exponent sums and syllable counts come from a walk over the
+    # factors; the oracle spells every instance and abelianizes its words
+    for table in EXAMPLE_TABLES:
+        for example in load_examples(table):
+            got = list(pipeline._example_instances(example, param_range))
+            assert got == list(oracles.example_instances(example, param_range))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [((1, 3), (0, 0), "all"), ((2, 3), (-8, 2), "id")],
+    ids=["sweep", "long-words"],
+)
+def test_lazy_example_lookup_equals_the_full_index(config):
+    # run-tables labels a filling by its linking matrix and spells an
+    # example instance only when a filling has its matrix
+    param_range = config[1]
+    examples, index = pipeline.ExampleIndex(param_range), example_index(param_range)
+    labels = []
+    for filling in dict.fromkeys(task.filling for task in build_tasks(*config)):
+        params = to_surgery(filling)
+        triple = gen_from_params(params).serialized_relators()
+        labels.append(examples.label(artin.linking_matrix(params), triple))
+        assert labels[-1] == index.get(triple, "")
+    assert any(labels)
+    spelled = sum(len(row._triples) for row in examples.rows)
+    assert 0 < spelled < sum(len(row.instances) for row in examples.rows)
 
 
 @pytest.mark.parametrize("param_range", [(0, 0), (-1, 1), (-8, 2), (-5, 5)])

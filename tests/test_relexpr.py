@@ -52,6 +52,14 @@ def test_variables_collected_in_order():
     assert expr.variables() == ("beta", "gamma")
 
 
+def test_exponent_sums_are_found_without_spelling():
+    # a group raised to k counts k times in the sums and |k| times in the
+    # syllables spelled before reduction, which can be far too many to build
+    expr = parse_relator_expr("x4*(x1*x2^gamma)^-3*x4^-1*(x1*x2)^100000000")
+    assert expr.exponent_sums({"gamma": 2}) == ({4: 0, 1: 99999997, 2: 99999994}, 200000008)
+    assert parse_relator_expr("(x1*x2)^(gamma-1)").exponent_sums({"gamma": 1}) == ({}, 0)
+
+
 def test_unbound_variable_rejected():
     from artinhexa.hexa import HexError
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from artinhexa.hexa import LinearCell
 from artinhexa.relexpr import Factor, RelatorExpr, RelatorExprError, parse_relator_expr
+from artinhexa.words import abelianize
 
 # well-formed expressions, with whitespace wherever the grammar allows it
 spaces = st.sampled_from(("", " ", "  ", "\t", "\n", "\u00a0", "\u2003"))
@@ -120,3 +121,11 @@ assignments = st.fixed_dictionaries({name: st.integers(-1, 1) for name in VARIAB
 def test_instantiation_equals_the_product_of_reduced_powers(factors, env):
     got = RelatorExpr(factors, "").instantiate(env)
     assert got == oracles.instantiate(factors, env)
+
+
+@given(st.lists(factor_trees, max_size=4).map(tuple), assignments)
+def test_exponent_sums_are_those_of_the_spelled_word(factors, env):
+    sums, syllables = RelatorExpr(factors, "").exponent_sums(env)
+    assert set(sums) <= {1, 2, 3}
+    assert tuple(sums.get(g, 0) for g in (1, 2, 3)) == abelianize(oracles.instantiate(factors, env), 3)
+    assert syllables == oracles.syllable_count(factors, env)
