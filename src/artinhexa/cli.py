@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 domain error (bad input data, an unsolvable
 request, a file that cannot be read or written), 2 usage error, 141 (128 +
 SIGPIPE, nothing printed) when the reader closes standard output early.
+
+Each command imports the modules it runs: the module level holds only what
+the parser and the small commands share, which ``tables`` loads anyway, so
+``artin``, ``triviality`` and the report pipeline are compiled only by the
+commands that call them.
 """
 
 from __future__ import annotations
@@ -11,9 +16,12 @@ import argparse
 import os
 import stat
 import sys
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from . import artin, braids, hexa, pipeline, tables, triviality, words
+from . import braids, hexa, tables, words
+
+if TYPE_CHECKING:
+    from .artin import Presentation
 
 
 # One divisor per declared generator is allocated and printed, so the rank
@@ -39,7 +47,9 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"--param-range: expected LO..HI, got {words._clip(text)}")
 
 
-def _load_presentation(path: str) -> artin.Presentation:
+def _load_presentation(path: str) -> Presentation:
+    from .artin import Presentation
+
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
     head = lines[0][1].split() if lines else []
@@ -56,10 +66,10 @@ def _load_presentation(path: str) -> artin.Presentation:
     if rank > MAX_FILE_RANK:
         raise ValueError(f"{path}: rank {rank} is above the limit {MAX_FILE_RANK}")
     relators = tuple(parse(n, words.parse_word, line) for n, line in lines[1:])
-    return artin.Presentation(rank, relators)
+    return Presentation(rank, relators)
 
 
-def _presentation_text(pres: artin.Presentation) -> str:
+def _presentation_text(pres: Presentation) -> str:
     out = [f"rank {pres.rank}"]
     out.extend(pres.serialized_relators())
     return "\n".join(out) + "\n"
@@ -84,6 +94,8 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
 
 
 def _cmd_gen_presentation(args) -> int:
+    from . import artin
+
     if (args.hex is None) == (args.params is None):
         raise ValueError("give exactly one of --hex or --params")
     if args.hex is not None:
@@ -97,6 +109,8 @@ def _cmd_gen_presentation(args) -> int:
 
 
 def _cmd_verify_artin(args) -> int:
+    from . import artin
+
     pres = _load_presentation(args.file)
     check = artin.verify_artin(pres)
     if args.condition in ("w", "both"):
@@ -109,8 +123,11 @@ def _cmd_verify_artin(args) -> int:
 def _cmd_simplify(args) -> int:
     import json
 
+    from . import triviality
+
     pres = _load_presentation(args.file)
-    verdict = triviality.simplify(pres, args.budget)
+    budget = triviality.DEFAULT_BUDGET if args.budget is None else args.budget
+    verdict = triviality.simplify(pres, budget)
     payload = verdict.as_json_dict()
     if not args.emit_log:
         del payload["moves"]
@@ -190,12 +207,16 @@ def _report_args(args) -> dict:
 
 
 def _cmd_run_tables(args) -> int:
+    from . import pipeline
+
     rows = pipeline.run_tables(**_report_args(args), jobs=args.jobs)
     _emit(pipeline.report_lines(rows, as_json=args.json), args.out)
     return 0
 
 
 def _cmd_match_examples(args) -> int:
+    from . import pipeline
+
     cfg = _report_args(args)
     matches = pipeline.match_examples(pipeline.build_tasks(**cfg), cfg["param_range"])
     _emit(pipeline.match_lines(matches, as_json=args.json), args.out)
@@ -233,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplify", help="run the triviality search on a presentation file")
     p.add_argument("--file", required=True)
-    p.add_argument("--budget", type=words.parse_int, default=triviality.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=words.parse_int)  # None: triviality.DEFAULT_BUDGET
     p.add_argument("--emit-log", action="store_true", help="include the move log")
     p.set_defaults(func=_cmd_simplify)
 
@@ -279,8 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for flag, low in (("jobs", 1), ("budget", 0)):
-        if getattr(args, flag, low) < low:
-            parser.error(f"argument --{flag}: {getattr(args, flag)} is below {low}")
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            parser.error(f"argument --{flag}: {value} is below {low}")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -77,7 +77,8 @@ class HexSymmetry(namedtuple("HexSymmetry", "index sources")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def apply(self, h: HexFilling) -> HexFilling:
-        return HexFilling(*_picker(self.sources)(h))
+        # HexFilling.__new__ checks nothing, so the picked tuple is wrapped as is
+        return tuple.__new__(HexFilling, _picker(self.sources)(h))
 
     def compose(self, other: "HexSymmetry") -> tuple[str, ...]:
         """Sources of `apply other first, then self` (index is not tracked)."""

@@ -587,6 +587,60 @@ def test_jobs_1_imports_no_pool(tmp_path):
     assert (tmp_path / "r.tsv").read_bytes() == (tmp_path / "r2.tsv").read_bytes()
 
 
+def test_import_leaves_the_report_pipeline_unloaded():
+    # each command imports what it runs; -S: a site-packages .pth file may
+    # import inspect or dataclasses itself
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
+    heavy = ("artinhexa.pipeline", "artinhexa.triviality", "artinhexa.artin", "dataclasses", "inspect")
+    code = f"import sys, artinhexa.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+# the modules every command loads: the command line, and tables with what
+# it imports
+STARTUP_MODULES = {"cli", "braids", "hexa", "relexpr", "tables", "words"}
+REPORT_ARGS = ("--tables", "1", "--param-range=0..0", "--symmetries", "id")
+COMMAND_MODULES = {
+    ("gen-presentation", "--hex", "1,1,1,0,0,0"): {"artin"},
+    ("verify-artin", "--file", "{pres}"): {"artin"},
+    ("simplify", "--file", "{pres}"): {"artin", "triviality"},
+    ("classify-braid", "--blocks", "1,1"): set(),
+    ("rho", "--braid-word", "s1*s2"): {"freeprod"},
+    ("symmetry", "--index", "3", "--hex", "1,2,3,4,5,6"): set(),
+    ("orbit", "--hex", "1,2,3,4,5,6"): set(),
+    ("validate-symmetries",): set(),
+    ("parse-cell", "±1-gamma"): set(),
+    ("run-tables", *REPORT_ARGS): {"artin", "triviality", "pipeline"},
+    ("match-examples", *REPORT_ARGS): {"artin", "triviality", "pipeline"},
+}
+
+
+def test_every_command_is_in_the_import_table():
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert sorted(commands) == sorted(argv[0] for argv in COMMAND_MODULES)
+
+
+@pytest.mark.parametrize("argv, extra", COMMAND_MODULES.items(), ids=[a[0] for a in COMMAND_MODULES])
+def test_each_command_imports_what_it_runs(tmp_path, argv, extra):
+    # in a fresh interpreter: a handler that lost an import fails here
+    pres = tmp_path / "pres.txt"
+    pres.write_text("rank 3\nx1^-1\nx2^-1*x3^-1*x2^-1\nx3^-1*x2^-1\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from artinhexa.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('artinhexa.')))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
+    argv = [a.format(pres=pres) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = proc.stdout.splitlines()[-1]
+    assert loaded == str(sorted("artinhexa." + m for m in STARTUP_MODULES | extra))
+
+
 def test_a_worker_error_ends_the_run_as_a_serial_one_does(tmp_path):
     # a filling refused in a forked worker: the same output and one error
     # line as at --jobs 1, no --out file, and no child left behind; on

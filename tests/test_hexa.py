@@ -69,6 +69,17 @@ def test_symmetries_apply_as_their_slot_names_say():
     check()
 
 
+def test_symmetry_images_are_fillings_built_from_the_picked_values():
+    # apply wraps the picked values without calling HexFilling: its image
+    # must be the same filling, with the same type, repr and text
+    h = HexFilling(1, -2, 3, 0, 5, -6)
+    for sym in load_symmetries():
+        picked = [getattr(h, src) for src in sym.sources]
+        image = sym.apply(h)
+        assert type(image) is HexFilling and image == HexFilling(*picked), sym.index
+        assert (repr(image), str(image)) == (repr(HexFilling(*picked)), str(HexFilling(*picked)))
+
+
 def test_symmetry_must_be_bijection():
     with pytest.raises(HexError):
         HexSymmetry(99, ("alpha",) * 6)

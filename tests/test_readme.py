@@ -52,6 +52,72 @@ def test_symmetry_table_is_the_group_preserving_the_surgery_determinant():
     assert len(preserving) == 24 and not negating
 
 
+# For symmetry row i, LINKING_FORM_BASES[i - 1] is a U in GL(3, Z) with
+# U^T L(h) U == L(sigma h) for every filling h, where L is the linking
+# matrix of the filling's surgery; rows 1 and 11 are signed permutations
+LINKING_FORM_BASES = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 1, 1), (1, 0, 0), (-1, -1, 0)),
+    ((0, 1, 0), (0, -1, -1), (1, 1, 1)),
+    ((1, 1, 1), (-1, -1, 0), (0, 1, 0)),
+    ((0, 1, 1), (0, 0, -1), (-1, -1, 0)),
+    ((1, 1, 0), (-1, 0, 0), (0, -1, -1)),
+    ((0, 1, 0), (-1, -1, 0), (1, 1, 1)),
+    ((1, 1, 1), (0, -1, -1), (0, 1, 0)),
+    ((1, 1, 0), (0, 0, 1), (0, -1, -1)),
+    ((1, 0, 0), (-1, -1, -1), (0, 0, 1)),
+    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    ((0, 0, 1), (-1, -1, -1), (1, 0, 0)),
+    ((1, 0, 0), (0, 1, 1), (0, 0, -1)),
+    ((0, 1, 0), (1, 0, 0), (-1, -1, -1)),
+    ((0, 1, 1), (0, -1, 0), (1, 1, 0)),
+    ((1, 1, 0), (-1, -1, -1), (0, 1, 1)),
+    ((0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+    ((1, 1, 1), (-1, 0, 0), (0, -1, 0)),
+    ((0, 1, 1), (-1, -1, -1), (1, 1, 0)),
+    ((1, 1, 0), (0, -1, 0), (0, 1, 1)),
+    ((1, 1, 1), (0, 0, -1), (0, -1, 0)),
+    ((1, 0, 0), (-1, -1, 0), (0, 0, -1)),
+    ((0, 0, 1), (0, -1, -1), (-1, 0, 0)),
+    ((0, 0, 1), (1, 1, 0), (-1, 0, 0)),
+)
+
+
+def congruent(u, m):
+    """``u^T m u`` for 3x3 matrices."""
+    return tuple(
+        tuple(sum(u[k][i] * m[k][l] * u[l][j] for k in range(3) for l in range(3)) for j in range(3))
+        for i in range(3)
+    )
+
+
+def test_every_symmetry_row_preserves_the_linking_form():
+    # README *Data files*: h -> L(h) is linear, and so is h -> U^T L(h) U,
+    # so agreeing on the six unit fillings they agree on every filling.
+    # Among the 6960 matrices with entries in -1..1 and det +-1, U and -U
+    # are the only ones that do
+    units = [HexFilling(*(int(i == j) for j in range(6))) for i in range(6)]
+
+    def forms(u):
+        return tuple(congruent(u, linking_matrix(to_surgery(h))) for h in units)
+
+    candidates = [
+        m for m in (tuple(zip(*[iter(e)] * 3)) for e in itertools.product((-1, 0, 1), repeat=9))
+        if abs(det3(m)) == 1
+    ]
+    assert len(candidates) == 6960
+    solutions = {}
+    for u in candidates:
+        solutions.setdefault(forms(u), set()).add(u)
+    symmetries = load_symmetries()
+    assert len(symmetries) == len(LINKING_FORM_BASES) == 24
+    for sym, u in zip(symmetries, LINKING_FORM_BASES):
+        images = tuple(linking_matrix(to_surgery(sym.apply(h))) for h in units)
+        minus_u = tuple(tuple(-v for v in row) for row in u)
+        assert forms(u) == images
+        assert solutions[images] == {u, minus_u}, sym.index
+
+
 def test_findings_table3_row36_one_digit_slip():
     # README *Findings*: the bundled table 3 row 36 has determinant
     # -4*alpha-2 for every alpha, and -1 throughout with beta = 2
