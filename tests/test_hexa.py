@@ -74,10 +74,9 @@ def test_symmetry_images_are_fillings_built_from_the_picked_values():
     # must be the same filling, with the same type, repr and text
     h = HexFilling(1, -2, 3, 0, 5, -6)
     for sym in load_symmetries():
-        picked = [getattr(h, src) for src in sym.sources]
-        image = sym.apply(h)
-        assert type(image) is HexFilling and image == HexFilling(*picked), sym.index
-        assert (repr(image), str(image)) == (repr(HexFilling(*picked)), str(HexFilling(*picked)))
+        image, expected = sym.apply(h), HexFilling(*(getattr(h, src) for src in sym.sources))
+        assert type(image) is HexFilling and image == expected, sym.index
+        assert (repr(image), str(image)) == (repr(expected), str(expected))
 
 
 def test_symmetry_must_be_bijection():
