@@ -68,15 +68,6 @@ def check_size(s: SurgeryParams) -> None:
         )
 
 
-def linking_matrix(s: SurgeryParams) -> tuple[tuple[int, int, int], ...]:
-    """The exponent-sum matrix of ``gen_from_params(s)``, row i the
-    abelianized ``r_i``, built without any word.  ``K`` abelianizes to
-    (1, 1, 0), so the framings fall on the diagonal and the linking
-    numbers off it; equal relators have equal matrices."""
-    e, e1, f1 = s.e, s.e1, s.f1
-    return ((s.m, e + e1, e), (e + e1, s.n, e + f1), (e, e + f1, s.p))
-
-
 def gen_from_params(s: SurgeryParams) -> Presentation:
     """Presentation of the surgered small closed pure 3-braid.
 

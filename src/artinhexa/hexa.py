@@ -80,10 +80,6 @@ class HexSymmetry(namedtuple("HexSymmetry", "index sources")):
         # HexFilling.__new__ checks nothing, so the picked tuple is wrapped as is
         return tuple.__new__(HexFilling, _picker(self.sources)(h))
 
-    def compose(self, other: "HexSymmetry") -> tuple[str, ...]:
-        """Sources of `apply other first, then self` (index is not tracked)."""
-        return tuple(other.sources[_SLOT_INDEX[src]] for src in self.sources)
-
     def is_identity(self) -> bool:
         return self.sources == SLOTS
 
@@ -99,108 +95,6 @@ def orbit(
     if include_mirror:
         images |= {img.mirror() for img in images}
     return tuple(sorted(images))
-
-
-class SymmetryReport(NamedTuple):
-    distinct: bool
-    duplicates: tuple[tuple[int, int], ...]
-    has_identity: bool
-    closed: bool
-    missing_products: tuple[tuple[int, int], ...]
-    opposite_pairings: tuple[tuple[tuple[str, str], ...], ...]
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.distinct
-            and self.has_identity
-            and self.closed
-            and len(self.opposite_pairings) == 1
-        )
-
-    def lines(self) -> list[str]:
-        out = [
-            f"distinct assignments: {'pass' if self.distinct else 'FAIL ' + str(self.duplicates)}",
-            f"identity present: {'pass' if self.has_identity else 'FAIL'}",
-            "closed under composition: "
-            + ("pass" if self.closed else f"FAIL {self.missing_products[:10]}"),
-        ]
-        if len(self.opposite_pairings) == 1:
-            pairs = " ".join("{%s,%s}" % p for p in self.opposite_pairings[0])
-            out.append(f"opposite-box pairing: pass {pairs}")
-        else:
-            out.append(
-                f"opposite-box pairing: FAIL ({len(self.opposite_pairings)} invariant pairings)"
-            )
-        return out
-
-
-def _pairings() -> list[tuple[tuple[str, str], ...]]:
-    out = []
-    for p1 in SLOTS[1:]:
-        rest1 = [s for s in SLOTS[1:] if s != p1]
-        for p2 in rest1[1:]:
-            rest2 = [s for s in rest1[1:] if s != p2]
-            out.append(((SLOTS[0], p1), (rest1[0], p2), (rest2[0], rest2[1])))
-    return out
-
-
-def validate_symmetry_table(symmetries: Iterable[HexSymmetry]) -> SymmetryReport:
-    """Check a candidate symmetry table: 24 pairwise distinct assignments,
-    identity present, closure under composition, and a unique 3-pair
-    opposite-box partition preserved by every row.  Failures are report
-    content, never exceptions."""
-    syms = tuple(symmetries)
-    seen: dict[tuple[str, ...], int] = {}
-    duplicates = []
-    for sym in syms:
-        if sym.sources in seen:
-            duplicates.append((seen[sym.sources], sym.index))
-        else:
-            seen[sym.sources] = sym.index
-    has_identity = any(sym.is_identity() for sym in syms)
-    source_set = set(seen)
-    missing = []
-    for a, b in itertools.product(syms, repeat=2):
-        if a.compose(b) not in source_set:
-            missing.append((a.index, b.index))
-    pairings = []
-    for candidate in _pairings():
-        pair_sets = {frozenset(p) for p in candidate}
-        if all(
-            frozenset(sym.sources[_SLOT_INDEX[x]] for x in pair) in pair_sets
-            for sym in syms
-            for pair in candidate
-        ):
-            pairings.append(candidate)
-    return SymmetryReport(
-        distinct=not duplicates,
-        duplicates=tuple(duplicates),
-        has_identity=has_identity,
-        closed=not missing,
-        missing_products=tuple(missing),
-        opposite_pairings=tuple(pairings),
-    )
-
-
-_TETRA_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def tetrahedral_control() -> tuple[HexSymmetry, ...]:
-    """Known-good control: the S4 vertex action of the tetrahedron on its
-    six edges, with edges labelled by the canonical slots.  Opposite slots
-    are the complementary edge pairs."""
-    edge_slot = {frozenset(edge): SLOTS[i] for i, edge in enumerate(_TETRA_EDGES)}
-    syms = []
-    for index, perm in enumerate(sorted(itertools.permutations(range(4))), start=1):
-        # perm moves the box at edge E to edge perm(E), so slot t receives
-        # the old value of the slot at perm^-1(E_t)
-        inv = tuple(perm.index(v) for v in range(4))
-        sources = tuple(
-            edge_slot[frozenset(inv[v] for v in _TETRA_EDGES[i])] for i in range(6)
-        )
-        syms.append(HexSymmetry(index, sources))
-    return tuple(syms)
 
 
 class SurgeryParams(NamedTuple):
@@ -225,6 +119,48 @@ def to_surgery(h: HexFilling) -> SurgeryParams:
     ``sigma1^(-2 delta) sigma2^(-2 gamma) Delta^(-2 eta)``."""
     a, b, g, d, e, h_ = h
     return SurgeryParams(-a - d - h_, -b - d - g - h_, -e - g - h_, -h_, -d, -g)
+
+
+def linking_matrix(s: SurgeryParams) -> tuple[tuple[int, int, int], ...]:
+    """The exponent-sum matrix of ``gen_from_params(s)``, row i the
+    abelianized ``r_i``, built without any word.  ``K`` abelianizes to
+    (1, 1, 0), so the framings fall on the diagonal and the linking
+    numbers off it; equal relators have equal matrices."""
+    e, e1, f1 = s.e, s.e1, s.f1
+    return ((s.m, e + e1, e), (e + e1, s.n, e + f1), (e, e + f1, s.p))
+
+
+def _surgery_det(h: HexFilling) -> int:
+    (a, b, c), (d, e, f), (g, k, i) = linking_matrix(to_surgery(h))
+    return a * (e * i - f * k) - b * (d * i - f * g) + c * (d * k - e * g)
+
+
+def symmetry_discrepancies(symmetries: Iterable[HexSymmetry]) -> list[str]:
+    """One line per fault of a candidate symmetry table: a row that repeats
+    an earlier row, a row under which ``det linking_matrix(to_surgery(h))``
+    (plus or minus the order of the double branched cover's first homology)
+    changes for some ``h`` in ``{0,1}^6``, and a count of distinct rows
+    other than 24.  The determinant is multilinear in the six slots, so those
+    64 fillings decide it for every filling; the slot permutations that keep
+    it form a group of order 24, so 24 distinct rows that keep it are that
+    group, identity and closure included."""
+    cube = [HexFilling(*h) for h in itertools.product((0, 1), repeat=6)]
+    dets = {h: _surgery_det(h) for h in cube}
+    seen: dict[tuple[str, ...], int] = {}
+    faults = []
+    for sym in symmetries:
+        if sym.sources in seen:
+            faults.append(f"row {sym.index} repeats row {seen[sym.sources]}")
+            continue
+        seen[sym.sources] = sym.index
+        for h in cube:
+            image = sym.apply(h)
+            if dets[image] != dets[h]:
+                faults.append(f"row {sym.index}: det {dets[h]} at {h}, {dets[image]} at its image {image}")
+                break
+    if len(seen) != 24:
+        faults.append(f"{len(seen)} distinct rows, not 24")
+    return faults
 
 
 class LinearCell(namedtuple("LinearCell", "pm c0 c1 var")):

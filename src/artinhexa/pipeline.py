@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import artin
-from .artin import check_size, gen_from_params, linking_matrix, verify_artin
+from .artin import check_size, gen_from_params, verify_artin
 from .braids import classify
-from .hexa import HexFilling, HexSymmetry, instantiate_row, to_surgery
+from .hexa import HexFilling, HexSymmetry, instantiate_row, linking_matrix, to_surgery
 from .tables import (
     EXAMPLE_TABLES,
     ExampleRow,

@@ -13,12 +13,15 @@ Smith form (swap, restart and offender loop), the table-cell parser (a
 term-by-term scanner), the example instances (each one spelled, then
 abelianized), the example matcher (every distinct filling's task held
 before matching) and the example-match writers (the TSV joined from a list
-of lines, the JSON dumped as one payload).  Not collected by
+of lines, the JSON dumped as one payload).  It also builds a planted
+symmetry table: the tetrahedron's vertex action on its six edges, a group
+of 24 slot permutations other than the bundled one.  Not collected by
 pytest (no ``test_`` prefix); test modules import it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from typing import Union
 from artinhexa.artin import gen_from_hex
 from artinhexa.braids import BraidError, PureBraid
 from artinhexa.freeprod import D_SYL, Y2_SYL, Y_SYL, FPWord, fp_concat, fp_power, rho, serialize_fp_word
-from artinhexa.hexa import SLOTS, CellSyntaxError, HexError, LinearCell
+from artinhexa.hexa import SLOTS, CellSyntaxError, HexError, HexSymmetry, LinearCell
 from artinhexa.pipeline import ExampleMatch, assignments_for, format_assignment
 from artinhexa.relexpr import Factor, RelatorExpr, RelatorExprError
 from artinhexa.tables import EXAMPLE_TABLES, load_examples
@@ -349,6 +352,28 @@ def smith_invariants(rows, width):
         t += 1
     divisors.extend([0] * (min(R, C) - len(divisors)))
     return tuple(divisors)
+
+
+_TETRA_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def tetrahedral_edge_action() -> tuple[HexSymmetry, ...]:
+    """The S4 vertex action of the tetrahedron on its six edges, with the
+    edges labelled by the canonical slots: 24 distinct rows, the identity
+    first, closed under composition, and keeping the pairing of opposite
+    edges.  Only 4 of its rows are bundled rows; the other 20 change the
+    double branched cover of some filling."""
+    edge_slot = {frozenset(edge): SLOTS[i] for i, edge in enumerate(_TETRA_EDGES)}
+    syms = []
+    for index, perm in enumerate(sorted(itertools.permutations(range(4))), start=1):
+        # perm moves the box at edge E to edge perm(E), so slot t receives
+        # the old value of the slot at perm^-1(E_t)
+        inv = tuple(perm.index(v) for v in range(4))
+        sources = tuple(
+            edge_slot[frozenset(inv[v] for v in _TETRA_EDGES[i])] for i in range(6)
+        )
+        syms.append(HexSymmetry(index, sources))
+    return tuple(syms)
 
 
 _TERM_RE = re.compile(r"([+-])?\s*(\d+|[a-z]+)", re.ASCII)

@@ -11,10 +11,9 @@ from artinhexa.artin import (
     SurgeryParams,
     gen_from_hex,
     gen_from_params,
-    linking_matrix,
     verify_artin,
 )
-from artinhexa.hexa import HexFilling, to_surgery
+from artinhexa.hexa import HexFilling, linking_matrix, to_surgery
 from artinhexa.pipeline import build_tasks
 from artinhexa.words import IDENTITY, abelianize, parse_word, reduce_word
 from hex_oracle import closed_form_relators

@@ -12,8 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from artinhexa.artin import check_size, gen_from_params, linking_matrix, verify_artin
-from artinhexa.hexa import HexFilling, SurgeryParams, to_surgery
+from artinhexa.artin import check_size, gen_from_params, verify_artin
+from artinhexa.hexa import HexFilling, SurgeryParams, linking_matrix, to_surgery
 from artinhexa.words import abelianize
 
 # the framings do not lengthen the relators; the twists do, and up to 40

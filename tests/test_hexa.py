@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from artinhexa.braids import PureBraid
 from artinhexa.hexa import (
     SLOTS,
@@ -15,9 +16,8 @@ from artinhexa.hexa import (
     orbit,
     parse_cell,
     serialize_cell,
-    tetrahedral_control,
+    symmetry_discrepancies,
     to_surgery,
-    validate_symmetry_table,
 )
 from artinhexa.tables import load_symmetries, symmetry_by_index
 
@@ -84,38 +84,40 @@ def test_symmetry_must_be_bijection():
         HexSymmetry(99, ("alpha",) * 6)
 
 
-def test_validator_passes_on_control():
-    report = validate_symmetry_table(tetrahedral_control())
-    assert report.passed
-    assert report.distinct and report.has_identity and report.closed
-    assert len(report.opposite_pairings) == 1
-    # complementary tetrahedron edges under the canonical labelling
-    assert report.opposite_pairings[0] == (
-        ("alpha", "eta"),
-        ("beta", "epsilon"),
-        ("gamma", "delta"),
-    )
-
-
-def test_validator_flags_broken_tables():
-    control = list(tetrahedral_control())
-    # duplicate a row: distinctness and closure both degrade
-    broken = control[:23] + [HexSymmetry(24, control[0].sources)]
-    report = validate_symmetry_table(broken)
-    assert not report.distinct
-    # drop a row: closure fails
-    report = validate_symmetry_table(control[1:])
-    assert not report.closed and report.missing_products
+def keeps_pairing(sym, *pairs):
+    pairs = {frozenset(p) for p in pairs}
+    return {frozenset(sym.sources[SLOTS.index(s)] for s in p) for p in pairs} == pairs
 
 
 def test_bundled_table_validates_and_pairs_opposites():
-    report = validate_symmetry_table(load_symmetries())
-    assert report.passed
-    assert report.opposite_pairings[0] == (
-        ("alpha", "epsilon"),
-        ("beta", "eta"),
-        ("gamma", "delta"),
-    )
+    syms = load_symmetries()
+    assert symmetry_discrepancies(syms) == []
+    # every row keeps the pairing of opposite boxes
+    assert all(keeps_pairing(sym, ("alpha", "epsilon"), ("beta", "eta"), ("gamma", "delta")) for sym in syms)
+
+
+def test_validator_flags_broken_tables():
+    syms = list(load_symmetries())
+    repeated = syms[:23] + [HexSymmetry(24, syms[0].sources)]
+    assert symmetry_discrepancies(repeated) == ["row 24 repeats row 1", "23 distinct rows, not 24"]
+    assert symmetry_discrepancies(syms[:5] + syms[6:]) == ["23 distinct rows, not 24"]
+
+
+def test_a_well_formed_group_that_changes_the_cover_is_refused_row_by_row():
+    planted = oracles.tetrahedral_edge_action()
+    # a group of 24 distinct rows: its products are its rows, row 1 the
+    # identity; every row keeps the pairing of opposite edges
+    h = HexFilling(*range(6))
+    images = {sym.apply(h) for sym in planted}
+    assert len(images) == 24 and planted[0].is_identity()
+    assert {a.apply(b.apply(h)) for a in planted for b in planted} == images
+    assert all(keeps_pairing(sym, ("alpha", "eta"), ("beta", "epsilon"), ("gamma", "delta")) for sym in planted)
+    bundled = {sym.sources for sym in load_symmetries()}
+    outside = [sym.index for sym in planted if sym.sources not in bundled]
+    assert len(outside) == 20
+    faults = symmetry_discrepancies(planted)
+    assert [int(line.split()[1].rstrip(":")) for line in faults] == outside
+    assert faults[0] == "row 2: det 0 at 0,1,1,0,1,0, -1 at its image 0,1,1,1,0,0"
 
 
 def test_orbit_basics():

@@ -13,7 +13,7 @@ import oracles
 from artinhexa import artin, pipeline, triviality
 from artinhexa.artin import gen_from_hex, gen_from_params, verify_artin
 from artinhexa.braids import classify
-from artinhexa.hexa import HexFilling, to_surgery
+from artinhexa.hexa import HexFilling, linking_matrix, to_surgery
 from artinhexa.pipeline import (
     TSV_COLUMNS,
     ExampleMatch,
@@ -454,7 +454,7 @@ def test_lazy_example_lookup_equals_the_full_index(config):
     for filling in dict.fromkeys(task.filling for task in build_tasks(*config)):
         params = to_surgery(filling)
         triple = gen_from_params(params).serialized_relators()
-        labels.append(examples.label(artin.linking_matrix(params), triple))
+        labels.append(examples.label(linking_matrix(params), triple))
         assert labels[-1] == index.get(triple, "")
     assert any(labels)
     spelled = sum(len(row._triples) for row in examples.rows)

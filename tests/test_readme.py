@@ -2,8 +2,17 @@ import doctest
 import itertools
 from pathlib import Path
 
-from artinhexa.artin import gen_from_hex, linking_matrix
-from artinhexa.hexa import SLOTS, HexFilling, HexSymmetry, instantiate_row, parse_cell, to_surgery
+from artinhexa.artin import gen_from_hex
+from artinhexa.hexa import (
+    SLOTS,
+    HexFilling,
+    HexSymmetry,
+    instantiate_row,
+    linking_matrix,
+    parse_cell,
+    symmetry_discrepancies,
+    to_surgery,
+)
 from artinhexa.tables import load_symmetries, load_table
 from artinhexa.triviality import abelian_invariants, replay, simplify
 
@@ -42,7 +51,8 @@ def test_symmetry_table_is_the_group_preserving_the_surgery_determinant():
     det = {h: surgery_det(h) for h in cube}
     assert all(surgery_det(h.mirror()) == -det[h] for h in cube)
     preserving, negating = set(), set()
-    for sources in itertools.permutations(SLOTS):
+    permutations = list(itertools.permutations(SLOTS))
+    for sources in permutations:
         images = [det[HexSymmetry(0, sources).apply(h)] for h in cube]
         if images == [det[h] for h in cube]:
             preserving.add(sources)
@@ -50,6 +60,13 @@ def test_symmetry_table_is_the_group_preserving_the_surgery_determinant():
             negating.add(sources)
     assert preserving == {sym.sources for sym in load_symmetries()}
     assert len(preserving) == 24 and not negating
+    # validate-symmetries, fed one row per permutation, flags a row exactly
+    # when this scan finds that its permutation changes the determinant
+    faults = symmetry_discrepancies(HexSymmetry(i, p) for i, p in enumerate(permutations, 1))
+    assert faults[-1] == "720 distinct rows, not 24"
+    flagged = {permutations[int(line.split()[1].rstrip(":")) - 1] for line in faults[:-1]}
+    assert len(flagged) == len(faults) - 1 == 696
+    assert flagged == set(permutations) - preserving
 
 
 # For symmetry row i, LINKING_FORM_BASES[i - 1] is a U in GL(3, Z) with

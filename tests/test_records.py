@@ -30,9 +30,6 @@ def records():
     """One instance of each record type, with its fields in order."""
     yield FILLING, ("alpha", "beta", "gamma", "delta", "epsilon", "eta")
     yield hexa.to_surgery(FILLING), ("m", "n", "p", "e", "e1", "f1")
-    yield hexa.validate_symmetry_table(hexa.tetrahedral_control()), (
-        "distinct", "duplicates", "has_identity", "closed", "missing_products", "opposite_pairings",
-    )
     yield braids.PureBraid(((1, 2), (-1, 3)), 2), ("blocks", "twist")
     yield braids.classify(braids.PureBraid(((1, 1),), 0)), ("tag", "clauses")
     yield artin.verify_artin(PRES), ("w", "f")
