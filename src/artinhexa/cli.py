@@ -7,7 +7,10 @@ SIGPIPE, nothing printed) when the reader closes standard output early.
 Each command imports the modules it runs: the module level holds only what
 the parser and the small commands share, which ``tables`` loads anyway, so
 ``artin``, ``triviality`` and the report pipeline are compiled only by the
-commands that call them.
+commands that call them.  ``match-examples`` imports ``matching``, which
+lists the tasks and matches them with the example tables; only
+``run-tables`` imports ``pipeline``, with the chain, the forked workers and
+the ``dataclasses`` module behind ``ReportRow``.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def _cmd_validate_symmetries(args) -> int:
     print("symmetry table, checked against det of the surgery's linking matrix on {0,1}^6:")
     for line in faults:
         print("  " + line)
-    print("discrepancy report: " + ("bundled table FAILED checks above" if faults else "empty"))
+    print("discrepancy report: " + ("symmetry table FAILED checks above" if faults else "empty"))
     return 1 if faults else 0
 
 
@@ -208,11 +211,11 @@ def _cmd_run_tables(args) -> int:
 
 
 def _cmd_match_examples(args) -> int:
-    from . import pipeline
+    from . import matching
 
     cfg = _report_args(args)
-    matches = pipeline.match_examples(pipeline.build_tasks(**cfg), cfg["param_range"])
-    _emit(pipeline.match_lines(matches, as_json=args.json), args.out)
+    matches = matching.match_examples(matching.build_tasks(**cfg), cfg["param_range"])
+    _emit(matching.match_lines(matches, as_json=args.json), args.out)
     return 0
 
 

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .hexa import SLOTS, HexSymmetry, ParamRow, parse_cell
-from .relexpr import RelatorExpr, parse_relator_expr
 from .words import _clip, parse_int
+
+if TYPE_CHECKING:
+    from .relexpr import RelatorExpr
 
 DATA_ENV = "ARTINHEXA_DATA"
 
@@ -120,6 +122,8 @@ class ExampleRow(NamedTuple):
 
 @lru_cache(maxsize=None)
 def load_examples(table: int) -> tuple[ExampleRow, ...]:
+    from .relexpr import parse_relator_expr  # only the example tables need it
+
     if table not in EXAMPLE_TABLES:
         raise TableError(f"no example table {table}")
     return _read(

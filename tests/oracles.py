@@ -31,7 +31,7 @@ from artinhexa.artin import gen_from_hex
 from artinhexa.braids import BraidError, PureBraid
 from artinhexa.freeprod import D_SYL, Y2_SYL, Y_SYL, FPWord, fp_concat, fp_power, rho, serialize_fp_word
 from artinhexa.hexa import SLOTS, CellSyntaxError, HexError, HexSymmetry, LinearCell
-from artinhexa.pipeline import ExampleMatch, assignments_for, format_assignment
+from artinhexa.matching import ExampleMatch, assignments_for, format_assignment
 from artinhexa.relexpr import Factor, RelatorExpr, RelatorExprError
 from artinhexa.tables import EXAMPLE_TABLES, load_examples
 from artinhexa.words import Word, _clip, abelianize, concat, generator, invert, parse_int, power, serialize_word
@@ -275,7 +275,7 @@ def spelled_instances(example, param_range):
 
 
 def example_instances(example, param_range):
-    """The oracle for ``pipeline._example_instances``: each instance is
+    """The oracle for ``matching._example_instances``: each instance is
     spelled, and its words abelianized; the matrix is ``None`` when a
     generator above x3 keeps a non-zero sum."""
     for assignment, _, words, size in spelled_instances(example, param_range):
@@ -433,7 +433,7 @@ def parse_cell(text: str) -> LinearCell:
 
 
 def match_examples(tasks, param_range=(-5, 5)):
-    """The oracle for ``pipeline.match_examples``: the first task of every
+    """The oracle for ``matching.match_examples``: the first task of every
     distinct filling is held, then the first of those for every relator
     triple, before any example row is matched."""
     first_task = {}

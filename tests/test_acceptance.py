@@ -299,7 +299,7 @@ def test_criterion_08_batch_triviality(full_sweep):
     # reported
     floor_failures = []
     rates = {"instances": 0, "trivial": 0}
-    from artinhexa.pipeline import assignments_for
+    from artinhexa.matching import assignments_for
 
     for table in (5, 6, 7, 8, 9, 10):
         for example in load_examples(table):

@@ -14,7 +14,7 @@ from artinhexa.artin import (
     verify_artin,
 )
 from artinhexa.hexa import HexFilling, linking_matrix, to_surgery
-from artinhexa.pipeline import build_tasks
+from artinhexa.matching import build_tasks
 from artinhexa.words import IDENTITY, abelianize, parse_word, reduce_word
 from hex_oracle import closed_form_relators
 

@@ -232,7 +232,7 @@ def test_validate_symmetries_reports_a_table_that_fails_its_checks(data_copy, ca
         SYMMETRY_HEADER
         + "  row 2 repeats row 1\n"
         + "  23 distinct rows, not 24\n"
-        + "discrepancy report: bundled table FAILED checks above\n"
+        + "discrepancy report: symmetry table FAILED checks above\n"
     )
     assert result == (1, out, "")
 
@@ -594,15 +594,21 @@ def test_import_leaves_the_report_pipeline_unloaded():
     # each command imports what it runs; -S: a site-packages .pth file may
     # import inspect or dataclasses itself
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
-    heavy = ("artinhexa.pipeline", "artinhexa.triviality", "artinhexa.artin", "dataclasses", "inspect")
+    heavy = (
+        "artinhexa.pipeline", "artinhexa.matching", "artinhexa.triviality", "artinhexa.artin",
+        "artinhexa.relexpr", "dataclasses", "inspect",
+    )
     code = f"import sys, artinhexa.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
 
 
 # the modules every command loads: the command line, and tables with what
-# it imports
-STARTUP_MODULES = {"cli", "braids", "hexa", "relexpr", "tables", "words"}
+# it imports at module level
+STARTUP_MODULES = {"cli", "braids", "hexa", "tables", "words"}
+# the modules that build a dataclass: pipeline.ReportRow, which only
+# run-tables makes, and freeprod.FPWord, which rho makes
+DATACLASS_MODULES = {"pipeline", "freeprod"}
 REPORT_ARGS = ("--tables", "1", "--param-range=0..0", "--symmetries", "id")
 COMMAND_MODULES = {
     ("gen-presentation", "--hex", "1,1,1,0,0,0"): {"artin"},
@@ -614,8 +620,8 @@ COMMAND_MODULES = {
     ("orbit", "--hex", "1,2,3,4,5,6"): set(),
     ("validate-symmetries",): set(),
     ("parse-cell", "±1-gamma"): set(),
-    ("run-tables", *REPORT_ARGS): {"artin", "triviality", "pipeline"},
-    ("match-examples", *REPORT_ARGS): {"artin", "triviality", "pipeline"},
+    ("run-tables", *REPORT_ARGS): {"artin", "triviality", "matching", "relexpr", "pipeline"},
+    ("match-examples", *REPORT_ARGS): {"artin", "matching", "relexpr"},
 }
 
 
@@ -626,7 +632,9 @@ def test_every_command_is_in_the_import_table():
 
 @pytest.mark.parametrize("argv, extra", COMMAND_MODULES.items(), ids=[a[0] for a in COMMAND_MODULES])
 def test_each_command_imports_what_it_runs(tmp_path, argv, extra):
-    # in a fresh interpreter: a handler that lost an import fails here
+    # in a fresh interpreter: a handler that lost an import fails here; only
+    # the commands that build a dataclass load dataclasses and inspect (-S: a
+    # site-packages .pth file may import them itself)
     pres = tmp_path / "pres.txt"
     pres.write_text("rank 3\nx1^-1\nx2^-1*x3^-1*x2^-1\nx3^-1*x2^-1\n", encoding="utf-8")
     code = (
@@ -634,14 +642,18 @@ def test_each_command_imports_what_it_runs(tmp_path, argv, extra):
         "from artinhexa.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print(sorted(m for m in sys.modules if m.startswith('artinhexa.')))\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
     argv = [a.format(pres=pres) for a in argv]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
     assert (proc.returncode, proc.stderr) == (0, "")
-    loaded = proc.stdout.splitlines()[-1]
+    loaded, stdlib = proc.stdout.splitlines()[-2:]
     assert loaded == str(sorted("artinhexa." + m for m in STARTUP_MODULES | extra))
+    assert stdlib == str(["dataclasses", "inspect"] if extra & DATACLASS_MODULES else [])
 
 
 def test_a_worker_error_ends_the_run_as_a_serial_one_does(tmp_path):

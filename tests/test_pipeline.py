@@ -10,21 +10,23 @@ import types
 import pytest
 
 import oracles
-from artinhexa import artin, pipeline, triviality
+from artinhexa import artin, matching, pipeline, triviality
 from artinhexa.artin import gen_from_hex, gen_from_params, verify_artin
 from artinhexa.braids import classify
 from artinhexa.hexa import HexFilling, linking_matrix, to_surgery
-from artinhexa.pipeline import (
-    TSV_COLUMNS,
+from artinhexa.matching import (
     ExampleMatch,
-    ReportRow,
-    _row_cells,
     assignments_for,
     build_tasks,
-    example_index,
     match_examples,
     match_lines,
     matches_tsv,
+)
+from artinhexa.pipeline import (
+    TSV_COLUMNS,
+    ReportRow,
+    _row_cells,
+    example_index,
     report_json,
     report_tsv,
     run_tables,
@@ -436,7 +438,7 @@ def test_example_instances_are_summed_as_the_spelled_words(param_range):
     # factors; the oracle spells every instance and abelianizes its words
     for table in EXAMPLE_TABLES:
         for example in load_examples(table):
-            got = list(pipeline._example_instances(example, param_range))
+            got = list(matching._example_instances(example, param_range))
             assert got == list(oracles.example_instances(example, param_range))
 
 
@@ -449,7 +451,7 @@ def test_lazy_example_lookup_equals_the_full_index(config):
     # run-tables labels a filling by its linking matrix and spells an
     # example instance only when a filling has its matrix
     param_range = config[1]
-    examples, index = pipeline.ExampleIndex(param_range), example_index(param_range)
+    examples, index = matching.ExampleIndex(param_range), example_index(param_range)
     labels = []
     for filling in dict.fromkeys(task.filling for task in build_tasks(*config)):
         params = to_surgery(filling)
@@ -464,14 +466,14 @@ def test_lazy_example_lookup_equals_the_full_index(config):
 @pytest.mark.parametrize("param_range", [(0, 0), (-1, 1), (-8, 2), (-5, 5)])
 def test_example_index_equals_the_oracle(monkeypatch, param_range):
     items = list(example_index(param_range).items())
-    monkeypatch.setattr(pipeline, "_example_instances", oracles.example_instances)
+    monkeypatch.setattr(matching, "_example_instances", oracles.example_instances)
     assert items == list(example_index(param_range).items())
 
 
 def test_match_examples_equals_the_oracle(monkeypatch):
     tasks = list(build_tasks(param_range=(-1, 1), symmetries="all"))
     matches = match_examples(tasks, (-1, 1))
-    monkeypatch.setattr(pipeline, "_example_instances", oracles.example_instances)
+    monkeypatch.setattr(matching, "_example_instances", oracles.example_instances)
     assert matches == match_examples(tasks, (-1, 1))
 
 
@@ -502,7 +504,7 @@ def test_match_examples_reports_the_first_task_of_a_shared_triple(monkeypatch):
         return HexFilling(*(abs(v) for v in filling.as_tuple()))
 
     tasks = list(build_tasks(param_range=(-1, 1), symmetries="all"))
-    monkeypatch.setattr(pipeline, "to_surgery", lambda filling: to_surgery(absolute(filling)))
+    monkeypatch.setattr(matching, "to_surgery", lambda filling: to_surgery(absolute(filling)))
     monkeypatch.setattr(oracles, "gen_from_hex", lambda filling: gen_from_hex(absolute(filling)))
     expected = oracles.match_examples(tasks, (-1, 1))
     assert sum(m.matched for m in expected) > 0

@@ -9,14 +9,16 @@ import dataclasses
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 
 import pytest
 
 import artinhexa
-from artinhexa import artin, braids, hexa, pipeline, relexpr, tables, triviality, words
-from artinhexa.pipeline import ReportRow, Task, build_tasks, match_examples, run_tables
+from artinhexa import artin, braids, hexa, matching, pipeline, relexpr, tables, triviality, words
+from artinhexa.matching import Task, build_tasks, match_examples
+from artinhexa.pipeline import ReportRow, run_tables
 
 FILLING = hexa.HexFilling(1, -2, 3, 0, 5, -6)
 PRES = artin.gen_from_hex(hexa.HexFilling(1, 1, 1, 0, 0, 0))
@@ -41,7 +43,7 @@ def records():
     yield next(build_tasks((1,), (0, 0), "all", True)), (
         "table", "row", "assignment", "branch", "symmetry", "mirrored", "filling",
     )
-    yield pipeline.ExampleMatch(5, 1, True, 1, 1, "table1 row 1 sym 1"), (
+    yield matching.ExampleMatch(5, 1, True, 1, 1, "table1 row 1 sym 1"), (
         "table", "row", "concrete", "instances", "matched", "first_match",
     )
     # the records that check their fields when built
@@ -188,6 +190,21 @@ def test_match_examples_reads_report_rows_as_tasks():
     assert any(m.matched for m in by_rows)
 
 
+TRACED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "traced.py")
+
+
+def test_pipeline_keeps_the_names_the_traced_benchmark_reads():
+    # bench/traced.py reads these names on pipeline (span names in quotes
+    # are not reads); the matching half is imported there, not wrapped
+    with open(TRACED, encoding="utf-8") as fh:
+        read = set(re.findall(r"(?<![\w.\"])pipeline\.(\w+)", fh.read()))
+    assert read == {"build_tasks", "ReportRow", "example_index", "report_tsv", "match_examples", "matches_tsv"}
+    for name in read:
+        defined_in = matching if hasattr(matching, name) else pipeline
+        assert getattr(pipeline, name) is getattr(defined_in, name)
+        assert getattr(pipeline, name).__module__ == defined_in.__name__
+
+
 STARTUP = """
 import sys
 import artinhexa.cli
@@ -214,7 +231,7 @@ print(json.dumps([json_at_startup, at_startup, freeprod_at_startup, dataclasses_
 
 def test_startup_builds_only_the_expected_dataclasses():
     # ReportRow stays a dataclass: the traced benchmark builds it by keyword
-    # and copies it with dataclasses.replace; the report commands import it,
+    # and copies it with dataclasses.replace; only run-tables imports it,
     # and rho imports FPWord, so starting the command line builds neither
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artinhexa.__file__)))
     out = subprocess.run([sys.executable, "-c", STARTUP], env=env, capture_output=True, text=True, check=True)

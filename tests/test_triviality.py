@@ -9,7 +9,7 @@ import pytest
 from artinhexa import triviality
 from artinhexa.artin import Presentation, gen_from_hex
 from artinhexa.hexa import HexFilling
-from artinhexa.pipeline import build_tasks
+from artinhexa.matching import build_tasks
 from artinhexa.triviality import (
     abelian_invariants,
     apply_move,
@@ -196,7 +196,7 @@ def test_trivial_certificates_replay_to_empty():
     # instantiated table rows present the trivial group, so most reach
     # Trivial; every certificate must replay to the empty presentation
     from artinhexa.hexa import instantiate_row
-    from artinhexa.pipeline import assignments_for
+    from artinhexa.matching import assignments_for
     from artinhexa.tables import load_table
 
     replayed = 0
