@@ -20,6 +20,7 @@ size, so memory does not grow with the parameter range.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import marshal
 import os
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .artin import gen_from_params, verify_artin
-from .braids import classify
+from .braids import PureBraid, classify
 from .hexa import HexFilling, linking_matrix, to_surgery
 from .matching import (  # match_examples and matches_tsv: bench/traced.py reads them here
     Assignment,
@@ -47,6 +48,10 @@ BLOCK_TASKS = 4096
 # dropped first.  The chain is
 # pure, so a dropped filling only costs a second run of the chain.
 CACHE_FILLINGS = 1 << 16
+# Surgery braids whose class is kept: the braid depends on (e, e1, f1) only,
+# so many fillings share one (1036 braids for the reference sweep's 10196
+# fillings).
+BRAID_CLASSES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -103,9 +108,15 @@ def _run_filling(filling: HexFilling, examples: ExampleIndex) -> tuple:
         check.f,
         verdict.divisors,
         verdict.tag,
-        str(classify(params.braid)),
+        _braid_class(params.braid),
         examples.label(linking_matrix(params), relators),
     )
+
+
+@functools.lru_cache(maxsize=BRAID_CLASSES)
+def _braid_class(braid: PureBraid) -> str:
+    """The ``braid_class`` cell of a surgery braid."""
+    return str(classify(braid))
 
 
 def run_tables(

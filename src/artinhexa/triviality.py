@@ -44,10 +44,18 @@ def smith_invariants(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ..
     padded with zeros to ``min(len(rows), width)`` entries.  A least entry
     is the pivot until its row and column clear, then it is recorded and
     they are deleted; each pair of recorded values ends as ``(gcd, lcm)``.
-    Cohen, *A Course in Computational Algebraic Number Theory*, 2.4.4."""
-    m = [list(r) for r in rows]
-    if any(len(r) != width for r in m):
+    Cohen, *A Course in Computational Algebraic Number Theory*, 2.4.4.
+
+    The divisors multiply to ``|det|``, so a 3 x 3 matrix with ``|det| = 1``
+    (almost every exponent matrix of a sweep) has divisors ``(1, 1, 1)``
+    and skips the pivot loop."""
+    if any(len(r) != width for r in rows):
         raise ValueError("ragged matrix")
+    if width == 3 and len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) == 1:
+            return (1, 1, 1)
+    m = [list(r) for r in rows]
     divisors: list[int] = []
     while True:
         least = 0

@@ -6,7 +6,8 @@ generators.  Generators are numbered from 1.  All values are immutable and
 every public operation is a pure function, so everything here is safe to use
 from many threads without synchronization.  The one exception is the private
 ``_join``, which extends the list it is given in place; its callers own that
-list.
+list.  The only shared state is the bounded memo behind ``serialize_word``,
+whose entries are added once and never change.
 """
 
 from __future__ import annotations
@@ -332,12 +333,23 @@ def parse_word(text: str) -> Word:
     return Word(_reduce_syllables(pairs))
 
 
+# Syllables whose text ``serialize_word`` keeps; once this many are kept,
+# any other syllable is formatted afresh on every call.  A sweep's
+# relators use a few dozen.
+SYLLABLE_TEXTS = 1 << 10
+_syllable_text: dict[Syllable, str] = {}
+
+
 def serialize_word(w: Word) -> str:
     """Canonical text form; always reduced, ``^1`` omitted, ``1`` for the
     identity."""
-    if not w.syllables:
-        return "1"
-    parts = []
-    for gen, exp in w.syllables:
-        parts.append(f"x{gen}" if exp == 1 else f"x{gen}^{exp}")
+    try:
+        return "*".join([_syllable_text[syl] for syl in w.syllables]) or "1"
+    except KeyError:
+        pass
+    parts = [f"x{gen}" if exp == 1 else f"x{gen}^{exp}" for gen, exp in w.syllables]
+    for syl, text in zip(w.syllables, parts):
+        if len(_syllable_text) >= SYLLABLE_TEXTS:
+            break
+        _syllable_text[syl] = text
     return "*".join(parts)
