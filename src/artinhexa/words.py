@@ -333,9 +333,9 @@ def parse_word(text: str) -> Word:
     return Word(_reduce_syllables(pairs))
 
 
-# Syllables whose text ``serialize_word`` keeps; once this many are kept,
-# any other syllable is formatted afresh on every call.  A sweep's
-# relators use a few dozen.
+# Syllables whose text ``serialize_word`` keeps; once this many are kept
+# (threads that add at once may each add one more), any other syllable is
+# formatted afresh on every call.  A sweep's relators use a few dozen.
 SYLLABLE_TEXTS = 1 << 10
 _syllable_text: dict[Syllable, str] = {}
 

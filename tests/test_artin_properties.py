@@ -3,7 +3,9 @@ exponent-sum matrix of the presentation ``gen_from_params`` builds, it is
 symmetric, and the mirror image of a filling negates it.  On the same
 presentations the W identity holds (a theorem, see README), and so does the
 F identity when ``e = e1 = f1 = 0``.  F also holds on a few parameter sets
-with a non-zero twist, so "F only if ``e = e1 = f1 = 0``" is false."""
+with a non-zero twist, so "F only if ``e = e1 = f1 = 0``" is false.
+``gen_from_params`` builds its presentation without the constructor's
+checks, which pass on it."""
 
 import pytest
 
@@ -12,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from artinhexa.artin import check_size, gen_from_params, verify_artin
+from artinhexa.artin import Presentation, check_size, gen_from_params, verify_artin
 from artinhexa.hexa import HexFilling, SurgeryParams, linking_matrix, to_surgery
 from artinhexa.words import abelianize
 
@@ -69,3 +71,13 @@ def test_f_holds_with_a_non_zero_twist(s):
     # F row of the reference sweep: of the 117649 sets in -3..3, 97 have a
     # non-zero twist and satisfy F
     assert verify_artin(gen_from_params(s)) == (True, True)
+
+
+@given(surgery_params)
+@example(SurgeryParams(0, 0, 0, 0, 0, 0))
+@example(SurgeryParams(0, 0, 0, 40, -40, 40))
+def test_unchecked_presentation_passes_the_constructor_checks(s):
+    check_size(s)
+    pres = gen_from_params(s)
+    assert type(pres) is Presentation
+    assert pres == Presentation(*pres)

@@ -9,7 +9,7 @@ import pytest
 
 import artinhexa
 import oracles
-from artinhexa import artin, cli, pipeline, tables, triviality
+from artinhexa import artin, braids, cli, pipeline, tables, triviality
 from artinhexa.cli import main
 from artinhexa.hexa import CellSyntaxError, HexError, linking_matrix, to_surgery
 from artinhexa.relexpr import RelatorExprError
@@ -757,14 +757,23 @@ def test_match_examples_compares_relators_only(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("match-examples ran a report-only computation")
 
-    for module, name in (
-        (pipeline, "verify_artin"),
-        (pipeline, "simplify"),
-        (pipeline, "classify"),
+    # each function is replaced in the module that defines it and under
+    # every name an artinhexa module imported it by
+    for home, name in (
+        (artin, "verify_artin"),
+        (triviality, "simplify"),
+        (triviality, "abelian_invariants"),
         (triviality, "smith_invariants"),
+        (braids, "classify"),
+        (pipeline, "_braid_class"),
     ):
-        monkeypatch.setattr(module, name, forbidden)
+        original = getattr(home, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("artinhexa.") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, forbidden)
     assert run(capsys, *argv) == (0, expected, "")
+    with pytest.raises(AssertionError, match="report-only"):  # the chain is guarded
+        run(capsys, "run-tables", "--tables", "1", "--param-range=0..0", "--symmetries", "id")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -400,6 +400,22 @@ def test_chain_runs_once_per_distinct_filling(monkeypatch):
     assert len(smith_calls) == 632
 
 
+def test_braid_class_is_classified_once_per_surgery_braid(monkeypatch):
+    classified = []
+
+    def counting(braid):
+        classified.append(braid)
+        return classify(braid)
+
+    monkeypatch.setattr(pipeline, "classify", counting)
+    pipeline._braid_class.cache_clear()
+    rows = list(run_tables(**SMALL, mirror=True))
+    pipeline._braid_class.cache_clear()  # drop what was kept under the patch
+    braids = {to_surgery(r.filling).braid for r in rows}
+    assert len(classified) == len(set(classified)) == len(braids) < len({r.filling for r in rows})
+    assert pipeline._braid_class.cache_info().maxsize == pipeline.BRAID_CLASSES
+
+
 def test_mirror_flag_adds_rows():
     plain = list(run_tables(**SMALL, mirror=False))
     mirrored = list(run_tables(**SMALL, mirror=True))

@@ -1,8 +1,10 @@
 import functools
 import hashlib
 import json
+import math
 import random
 import re
+import types
 
 import pytest
 
@@ -26,6 +28,7 @@ from artinhexa.words import (
     reduce_word,
     serialize_word,
 )
+import oracles
 from oracles import conjugate, cyclic_canonical
 
 
@@ -85,6 +88,67 @@ def test_smith_divisor_product_is_determinant():
         for d in divisors:
             product *= d
         assert product == abs(det)
+
+
+def unimodular(rng: random.Random) -> list[list[int]]:
+    """A 3 x 3 integer matrix of determinant +-1: the identity under random
+    elementary row and column operations (add a multiple of one line to
+    another, swap two lines, negate one)."""
+    m = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.5:
+            m = [list(col) for col in zip(*m)]  # a column operation is one on the rows of the transpose
+        i, j = rng.sample(range(3), 2)
+        kind = rng.choice(("add", "swap", "negate"))
+        if kind == "add":
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        elif kind == "swap":
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-a for a in m[i]]
+    return m
+
+
+def pivot_loop_runs(monkeypatch, rows, width):
+    """Whether ``smith_invariants(rows, width)`` runs the pivot loop, seen by
+    its closing gcd/lcm pass over the recorded divisors; checked against
+    the oracle either way."""
+    calls = []
+
+    def gcd(x, y):
+        calls.append((x, y))
+        return math.gcd(x, y)
+
+    monkeypatch.setattr(triviality, "math", types.SimpleNamespace(gcd=gcd, lcm=math.lcm))
+    assert smith_invariants(rows, width) == oracles.smith_invariants(rows, width)
+    return bool(calls)
+
+
+def test_smith_of_a_unimodular_3x3_matrix_skips_the_pivot_loop(monkeypatch):
+    rng = random.Random(107)
+    for _ in range(300):
+        m = unimodular(rng)
+        assert smith_invariants(m, 3) == (1, 1, 1) == oracles.smith_invariants(m, 3)
+        assert not pivot_loop_runs(monkeypatch, m, 3)
+
+
+@pytest.mark.parametrize(
+    "rows, width, divisors",
+    [
+        ([[12, 6, 4], [3, 9, 6], [2, 16, 14]], 3, (1, 10, 30)),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 3, (1, 1, 0)),  # det 0
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 3, (1, 3, 0)),  # det 0
+        ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3, (1, 1, 2)),  # det 2
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 2]], 3, (1, 1, 2)),  # det -2
+        ([[2, 1], [1, 1]], 2, (1, 1)),  # unimodular, but 2 x 2
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 3, (1, 1, 1)),  # 4 x 3
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4, (1, 1, 1)),  # 3 x 4
+    ],
+)
+def test_smith_of_other_matrices_runs_the_pivot_loop(monkeypatch, rows, width, divisors):
+    assert smith_invariants(rows, width) == divisors
+    assert pivot_loop_runs(monkeypatch, rows, width)
 
 
 # ---- abelian invariants --------------------------------------------------------

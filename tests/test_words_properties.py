@@ -1,8 +1,8 @@
 """Hypothesis properties of the word layer's fast paths: join-cancellation
 lengths, products and powers built at their joins against one reduction
 pass over the chained syllables, the least rotation and the cyclic
-canonical form, and results built without the public constructor's
-validation."""
+canonical form, results built without the public constructor's
+validation, and serialisation through the memo of syllable text."""
 
 import time
 
@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from artinhexa import words as words_module
 from artinhexa.artin import ArtinCheck, Presentation, gen_from_params, verify_artin
 from artinhexa.hexa import SurgeryParams
 from artinhexa.words import (
@@ -26,6 +27,7 @@ from artinhexa.words import (
     parse_word,
     power,
     reduce_word,
+    serialize_word,
 )
 from oracles import conjugate, cyclic_canonical
 
@@ -158,3 +160,42 @@ def test_cyclic_reduce_returns_canonical_word_itself(w):
 @given(st.one_of(words, powers), words)
 def test_cyclic_reduce_is_conjugation_invariant(w, g):
     assert cyclic_reduce(conjugate(w, g)) == cyclic_reduce(w)
+
+
+def formatted_syllables(w: Word) -> str:
+    """The text form, each syllable formatted afresh."""
+    if not w.syllables:
+        return "1"
+    return "*".join(f"x{gen}" if exp == 1 else f"x{gen}^{exp}" for gen, exp in w.syllables)
+
+
+# exponents +-1, large exponents and generators above 9
+text_words = st.lists(
+    st.tuples(
+        st.one_of(st.integers(1, 3), st.integers(10, 10**6)),
+        st.one_of(st.sampled_from((1, -1)), st.integers(-3, 3), st.integers(-10**12, 10**12)),
+    ),
+    max_size=12,
+).map(reduce_word)
+
+
+@given(text_words)
+@example(IDENTITY)
+@example(reduce_word(((12, 1), (1, -1), (10, 10**12))))
+def test_serialize_word_formats_each_syllable(w):
+    assert serialize_word(w) == formatted_syllables(w)
+    assert serialize_word(w) == formatted_syllables(w)  # from the memo, where it holds them
+    assert parse_word(serialize_word(w)) == w
+
+
+@given(st.lists(text_words, max_size=6))
+def test_serialize_word_keeps_at_most_its_bound(ws):
+    # a full memo still gives every word its text, from the memo or afresh
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words_module, "SYLLABLE_TEXTS", 3)
+        patch.setattr(words_module, "_syllable_text", {})
+        for w in ws + ws:
+            assert serialize_word(w) == formatted_syllables(w)
+        kept = words_module._syllable_text
+        assert len(kept) <= 3
+        assert all(text == formatted_syllables(Word((syl,))) for syl, text in kept.items())
